@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import C0
 
@@ -129,13 +129,18 @@ class VertexBalance:
 @dataclass(frozen=True)
 class BalanceReport:
     per_vertex: tuple[VertexBalance, ...]
-    # (vertex, edge id, length) of the shortest edge emanating from a
-    # balanced vertex, or None when the graph has no balanced vertex
-    shortest_balanced_edge: tuple[int, int, float] | None = field(default=None)
+    # (vertex, edge id, length) of the shortest edge emanating from each
+    # balanced vertex, in vertex order
+    shortest_edges: tuple[tuple[int, int, float], ...] = ()
 
     @property
     def balanced_vertices(self) -> tuple[int, ...]:
         return tuple(r.vertex for r in self.per_vertex if r.balanced)
+
+    @property
+    def shortest_balanced_edge(self) -> tuple[int, int, float] | None:
+        """The shortest of ``shortest_edges`` (first vertex on ties), or None."""
+        return min(self.shortest_edges, key=lambda s: s[2], default=None)
 
 
 def balance_report(graph: MetricGraph) -> BalanceReport:
@@ -150,19 +155,16 @@ def balance_report(graph: MetricGraph) -> BalanceReport:
     records = tuple(
         VertexBalance(v, deg[v], nlead[v]) for v in sorted(graph.vertices)
     )
-    shortest = None
+    shortest = []
     for rec in records:
-        if not rec.balanced:
-            continue
-        # ties broken by smallest edge id for determinism
-        best = min(
-            (e for e in graph.edges if rec.vertex in (e.a, e.b)),
-            key=lambda e: (e.length, e.id),
-        )
-        cand = (rec.vertex, best.id, best.length)
-        if shortest is None or cand[2] < shortest[2]:
-            shortest = cand
-    return BalanceReport(records, shortest)
+        if rec.balanced:
+            # ties broken by smallest edge id for determinism
+            best = min(
+                (e for e in graph.edges if rec.vertex in (e.a, e.b)),
+                key=lambda e: (e.length, e.id),
+            )
+            shortest.append((rec.vertex, best.id, best.length))
+    return BalanceReport(records, tuple(shortest))
 
 
 def effective_size(graph: MetricGraph) -> float:
@@ -174,26 +176,14 @@ def effective_size(graph: MetricGraph) -> float:
     edges are all subtracted -- a heuristic extension beyond the single-vertex
     theory, reported with a warning.
     """
-    report = balance_report(graph)
-    L = total_length(graph)
-    balanced = [r for r in report.per_vertex if r.balanced]
-    if not balanced:
-        return L
-    if len(balanced) == 1:
-        return L - report.shortest_balanced_edge[2]
-    warnings.warn(
-        "multiple balanced vertices: effective size uses the per-vertex "
-        "shortest-edge heuristic and may be unreliable",
-        stacklevel=2,
-    )
-    cut = 0.0
-    for rec in balanced:
-        best = min(
-            (e for e in graph.edges if rec.vertex in (e.a, e.b)),
-            key=lambda e: (e.length, e.id),
+    cuts = balance_report(graph).shortest_edges
+    if len(cuts) > 1:
+        warnings.warn(
+            "multiple balanced vertices: effective size uses the per-vertex "
+            "shortest-edge heuristic and may be unreliable",
+            stacklevel=2,
         )
-        cut += best.length
-    return L - cut
+    return total_length(graph) - sum(length for _, _, length in cuts)
 
 
 def optical_length(geometric_length: float, cable: CableSpec) -> float:

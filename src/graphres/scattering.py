@@ -8,8 +8,10 @@ arriving on bond b picks up the vertex amplitude ``2/d_v - delta``, where
 for back-reflection.  Those amplitudes are unitary, real and symmetric on
 every vertex, which is what makes the whole construction flux-conserving.
 
-Resonances are the zeros of ``det(I - e^{ikL} Sigma)`` continued into the
-lower half of the complex k-plane.
+Everything below is built from one bond matrix, ``M(k) = I - e^{ikL} Sigma``:
+resonances are the zeros of ``det M(k)`` continued into the lower half of
+the complex k-plane, and the lead-to-lead scattering matrix is
+``S(k) = rho_LL + rho_LB M(k)^-1 e^{ikL} rho_BL``.
 """
 
 from __future__ import annotations
@@ -59,48 +61,29 @@ def vertex_matrix(d: int) -> np.ndarray:
 
 def build_bond_system(graph: MetricGraph) -> BondSystem:
     graph.validate()
-    edges = graph.edges
-    N = len(edges)
-    M = len(graph.leads)
-    ell = np.array([e.length for e in edges], dtype=float)
+    N = len(graph.edges)
+    n = 2 * N
+    ell = np.array([e.length for e in graph.edges], dtype=float)
     lengths = np.concatenate([ell, ell])
 
-    # bond b: init(b) --> term(b); reversal of b is (b + N) mod 2N
-    init = np.empty(2 * N, dtype=int)
-    term = np.empty(2 * N, dtype=int)
-    for i, e in enumerate(edges):
-        init[i], term[i] = e.a, e.b
-        init[N + i], term[N + i] = e.b, e.a
+    # channels: bonds 0..2N-1, then the leads.  Bond b leaves starts[b] and
+    # its reversal is (b + N) mod 2N; a lead is its own reversal.  Row c of
+    # ``full`` is outgoing channel c and column reverse[c] the incoming
+    # channel that back-reflects into it, so the vertex rule is one block.
+    starts = [e.a for e in graph.edges] + [e.b for e in graph.edges]
+    starts += [l.anchor for l in graph.leads]
+    reverse = np.concatenate([np.arange(N, n), np.arange(N), np.arange(n, len(starts))])
+    channels: dict[int, list[int]] = {}
+    for c, v in enumerate(starts):
+        channels.setdefault(v, []).append(c)
+    full = np.zeros((len(starts), len(starts)))
+    for out in channels.values():
+        full[np.ix_(out, reverse[out])] = vertex_matrix(len(out))
 
-    deg = {v: 0 for v in graph.vertices}
-    for b in range(2 * N):
-        deg[term[b]] += 1
-    for l in graph.leads:
-        deg[l.anchor] += 1
-
-    sigma = np.zeros((2 * N, 2 * N))
-    lead_in = np.zeros((2 * N, M))
-    lead_out = np.zeros((M, 2 * N))
-    lead_reflect = np.zeros((M, M))
-
-    for b in range(2 * N):
-        v = term[b]
-        t = 2.0 / deg[v]
-        rev = (b + N) % (2 * N)
-        for bp in np.nonzero(init == v)[0]:
-            sigma[bp, b] = t - (1.0 if bp == rev else 0.0)
-        for m, l in enumerate(graph.leads):
-            if l.anchor == v:
-                lead_out[m, b] = t
-    for m, l in enumerate(graph.leads):
-        t = 2.0 / deg[l.anchor]
-        for bp in np.nonzero(init == l.anchor)[0]:
-            lead_in[bp, m] = t
-        for m2, l2 in enumerate(graph.leads):
-            if l2.anchor == l.anchor:
-                # a lead is its own reversal
-                lead_reflect[m2, m] = t - (1.0 if m2 == m else 0.0)
-
+    bonds, leads = slice(0, n), slice(n, None)
+    sigma, lead_in, lead_out, lead_reflect = (
+        full[rows, cols].copy() for rows in (bonds, leads) for cols in (bonds, leads)
+    )
     for a in (lengths, sigma, lead_in, lead_out, lead_reflect):
         a.setflags(write=False)
     return BondSystem(lengths, sigma, lead_in, lead_out, lead_reflect)
@@ -114,25 +97,24 @@ def _check_exponent_range(system: BondSystem, ks: np.ndarray) -> None:
         )
 
 
-def _phase_matrix(system: BondSystem, ks: np.ndarray) -> np.ndarray:
-    """e^{ikL} bond phases for a batch of wavenumbers, shape (m, 2N)."""
-    return np.exp(1j * ks[:, None] * system.lengths[None, :])
+def _bond_matrices(system: BondSystem, ks):
+    """Yield ``(e^{ikL}, M(k) = I - e^{ikL} Sigma)`` for each chunk of ``ks``.
+
+    e^{ikL} is diagonal, so it scales the rows of Sigma; the product is
+    turned into M in place, so a chunk holds a single batch of matrices.
+    """
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    _check_exponent_range(system, ks)
+    eye = np.eye(system.n_bonds)
+    for lo in range(0, ks.size, _CHUNK):
+        phases = np.exp(1j * ks[lo:lo + _CHUNK, None] * system.lengths)
+        mats = phases[:, :, None] * system.sigma
+        yield phases, np.subtract(eye, mats, out=mats)
 
 
 def secular_many(system: BondSystem, ks) -> np.ndarray:
     """Vectorized ``det(I - e^{ikL} Sigma)`` over an array of wavenumbers."""
-    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    _check_exponent_range(system, ks)
-    n = system.n_bonds
-    out = np.empty(ks.shape, dtype=complex)
-    eye = np.eye(n)
-    for lo in range(0, ks.size, _CHUNK):
-        chunk = ks[lo:lo + _CHUNK]
-        phases = _phase_matrix(system, chunk)
-        # e^{ikL} is diagonal, so it scales the rows of Sigma
-        mats = eye[None, :, :] - phases[:, :, None] * system.sigma[None, :, :]
-        out[lo:lo + _CHUNK] = np.linalg.det(mats)
-    return out
+    return np.concatenate([np.linalg.det(m) for _, m in _bond_matrices(system, ks)])
 
 
 def secular(system: BondSystem, k: complex) -> complex:
@@ -140,66 +122,33 @@ def secular(system: BondSystem, k: complex) -> complex:
     return complex(secular_many(system, [k])[0])
 
 
-def secular_derivative(system: BondSystem, k: complex) -> complex:
-    """d/dk of the secular determinant.
-
-    Uses ``det(M) tr(M^-1 M')`` with ``M' = -i L e^{ikL} Sigma``; at a zero M
-    is singular and the value is recomputed by central finite differences.
-    """
-    k = complex(k)
-    ks = np.array([k], dtype=complex)
-    _check_exponent_range(system, ks)
-    phases = _phase_matrix(system, ks)[0]
-    M = np.eye(system.n_bonds) - phases[:, None] * system.sigma
-    Mp = -1j * (system.lengths * phases)[:, None] * system.sigma
-    try:
-        trace = np.trace(np.linalg.solve(M, Mp))
-        value = np.linalg.det(M) * trace
-        if np.isfinite(value):
-            return complex(value)
-    except np.linalg.LinAlgError:
-        pass
-    h = 1e-7 * (1.0 + abs(k))
-    fp, fm = secular_many(system, [k + h, k - h])
-    return complex((fp - fm) / (2.0 * h))
-
-
 def log_derivative(system: BondSystem, k: complex) -> complex:
-    """``secular'/secular = tr(M^-1 M')`` -- finite and stable near zeros."""
-    ks = np.array([complex(k)], dtype=complex)
-    _check_exponent_range(system, ks)
-    phases = _phase_matrix(system, ks)[0]
-    M = np.eye(system.n_bonds) - phases[:, None] * system.sigma
-    Mp = -1j * (system.lengths * phases)[:, None] * system.sigma
-    return complex(np.trace(np.linalg.solve(M, Mp)))
+    """``secular'/secular = tr(M^-1 M')`` with ``M' = -i L e^{ikL} Sigma``.
+
+    Finite and stable near zeros, where the secular function itself vanishes.
+    """
+    ((phases, mats),) = _bond_matrices(system, [k])
+    Mp = -1j * (system.lengths * phases[0])[:, None] * system.sigma
+    return complex(np.trace(np.linalg.solve(mats[0], Mp)))
 
 
 def smatrix_many(system: BondSystem, ks) -> np.ndarray:
-    """Lead-to-lead scattering matrices, shape (m, M, M)."""
+    """Lead-to-lead scattering matrices, shape (m, M, M).
+
+    ``S = rho_LL + rho_LB (I - e^{ikL} Sigma)^-1 e^{ikL} rho_BL``: the bond
+    matrix is the secular one, and e^{ikL} scales the rows of ``rho_BL``.
+    """
     if system.n_leads == 0:
         raise ValueError("graph has no leads; the scattering matrix is empty")
-    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    _check_exponent_range(system, ks)
-    n = system.n_bonds
-    M = system.n_leads
-    out = np.empty((ks.size, M, M), dtype=complex)
-    eye = np.eye(n)
-    for lo in range(0, ks.size, _CHUNK):
-        chunk = ks[lo:lo + _CHUNK]
-        phases = _phase_matrix(system, chunk)
-        # (I - Sigma e^{ikL})^-1 rho_in: here e^{ikL} scales Sigma's columns
-        mats = eye[None, :, :] - system.sigma[None, :, :] * phases[:, None, :]
-        rhs = np.broadcast_to(system.lead_in, (chunk.size, n, M))
-        interior = np.linalg.solve(mats, rhs)
-        out[lo:lo + chunk.size] = (
-            system.lead_reflect[None, :, :]
-            + system.lead_out[None, :, :] @ (phases[:, :, None] * interior)
-        )
-    return out
+    return np.concatenate([
+        system.lead_reflect
+        + system.lead_out @ np.linalg.solve(mats, phases[:, :, None] * system.lead_in)
+        for phases, mats in _bond_matrices(system, ks)
+    ])
 
 
 def external_smatrix(system: BondSystem, k: complex) -> np.ndarray:
-    """Scattering matrix ``rho_LL + rho_LB e^{ikL} (I - Sigma e^{ikL})^-1 rho_BL``.
+    """Scattering matrix ``rho_LL + rho_LB (I - e^{ikL} Sigma)^-1 e^{ikL} rho_BL``.
 
     Unitary for real k on a lossless graph; its poles sit at the secular
     zeros, so values within ~1e-12 of a resonance are flagged as unreliable.

@@ -56,15 +56,16 @@ def predicted_count(graph: MetricGraph, band: tuple[float, float]) -> tuple[floa
     Both equal ``2 * length * (nu_max - nu_min) / c``; round half-up to get
     integer expectations.
     """
+    graph.validate()
+    return _band_counts(band, total_length(graph), effective_size(graph))
+
+
+def _band_counts(band: tuple[float, float], *lengths: float) -> tuple[float, ...]:
     nu_min, nu_max = band
     if not (0.0 <= nu_min < nu_max):
         raise ValueError(f"empty or inverted band {band}")
-    graph.validate()
     dk = 2.0 * np.pi * (nu_max - nu_min) / C0
-    return (
-        total_length(graph) * dk / np.pi,
-        effective_size(graph) * dk / np.pi,
-    )
+    return tuple(length * dk / np.pi for length in lengths)
 
 
 def fit_slope(counts) -> tuple[float, float, float]:
@@ -79,6 +80,28 @@ def fit_slope(counts) -> tuple[float, float, float]:
     return float(slope), float(intercept), residual
 
 
+def _judge(graph: MetricGraph, l_eff: float, fitted_slope: float) -> tuple[str, float]:
+    """Geometric class and the slope's relative error against ``l_eff / pi``.
+
+    ``l_eff`` is the effective size, which is the total length on a Weyl
+    graph.  A graph of effective size 0 has no resonances, so a flat fit
+    meets it exactly.
+    """
+    geometric = NON_WEYL if balance_report(graph).balanced_vertices else WEYL
+    expected = l_eff / np.pi
+    if expected == 0.0:
+        err = 0.0 if fitted_slope == 0.0 else math.inf
+    else:
+        err = abs(fitted_slope - expected) / abs(expected)
+    if err > SLOPE_GATE:
+        raise ClassificationError(
+            f"graph is geometrically {geometric} (slope should be "
+            f"{expected:.4f} 1/m) but the fitted slope is {fitted_slope:.4f} "
+            f"({100 * err:.1f}% off)"
+        )
+    return geometric, err
+
+
 def classify(graph: MetricGraph, fitted_slope: float) -> str:
     """Geometric class, cross-checked against the fitted counting slope.
 
@@ -87,18 +110,7 @@ def classify(graph: MetricGraph, fitted_slope: float) -> str:
     an error, never a silent reinterpretation.
     """
     graph.validate()
-    geometric = NON_WEYL if balance_report(graph).balanced_vertices else WEYL
-    expected = (
-        total_length(graph) if geometric == WEYL else effective_size(graph)
-    ) / np.pi
-    err = abs(fitted_slope - expected) / abs(expected)
-    if err > SLOPE_GATE:
-        raise ClassificationError(
-            f"graph is geometrically {geometric} (slope should be "
-            f"{expected:.4f} 1/m) but the fitted slope is {fitted_slope:.4f} "
-            f"({100 * err:.1f}% off)"
-        )
-    return geometric
+    return _judge(graph, effective_size(graph), fitted_slope)[0]
 
 
 def count_report(
@@ -109,16 +121,13 @@ def count_report(
     fit_points: int = 120,
 ) -> CountReport:
     """Measure, predict, fit, and classify in one pass."""
-    weyl_pred, nonweyl_pred = predicted_count(graph, band)
     system = build_bond_system(graph)
+    l_eff = effective_size(graph)
+    weyl_pred, nonweyl_pred = _band_counts(band, total_length(graph), l_eff)
     measured = len(find_zeros(system, SearchBox.from_band(*band, depth=depth)))
     grid = np.linspace(fit_range[0], fit_range[1], fit_points)
     slope, _, _ = fit_slope(counting_function(system, grid, depth=depth))
-    classification = classify(graph, slope)
-    expected = (
-        total_length(graph) if classification == WEYL else effective_size(graph)
-    ) / np.pi
-    rel_err = abs(slope - expected) / expected
+    classification, rel_err = _judge(graph, l_eff, slope)
     return CountReport(
         band=band,
         measured_count=measured,

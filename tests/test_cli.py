@@ -94,6 +94,19 @@ class TestClassify:
         assert "classification error" in err
 
 
+    def test_graph_without_resonances_classifies(self, capsys, tmp_path):
+        # one edge, one lead: the balanced vertex removes the whole length,
+        # so the expected slope and the fitted slope are both exactly 0
+        path = tmp_path / "stub.txt"
+        dump_graph(interval(0.5, leads=1), path)
+        code, out, err = run(capsys, "classify", "--graph", str(path))
+        assert code == 0, err
+        header, body = rows(out)
+        assert header.endswith(",classification")
+        fields = body[0].split(",")
+        assert fields[3] == "0" and fields[-1] == "non-Weyl"
+
+
 class TestSweep:
     def test_lossless_sweep_has_flat_trace_and_no_dips(self, capsys, tmp_path):
         out = tmp_path / "trace.csv"

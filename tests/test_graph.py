@@ -114,6 +114,18 @@ class TestBalance:
         assert balance_report(g).shortest_balanced_edge == (1, 2, 0.2)
 
 
+    def test_each_balanced_vertex_keeps_its_shortest_edge(self):
+        g = MetricGraph(
+            (1, 2, 3),
+            (Edge(1, 1, 2, 0.4), Edge(2, 2, 3, 0.3)),
+            (Lead(1, 1), Lead(2, 3)),
+        )
+        rep = balance_report(g)
+        assert rep.shortest_edges == ((1, 1, 0.4), (3, 2, 0.3))
+        assert rep.shortest_balanced_edge == (3, 2, 0.3)
+        with pytest.warns(UserWarning, match="multiple balanced"):
+            assert effective_size(g) == pytest.approx(0.0, abs=1e-15)
+
 class TestEffectiveSize:
     def test_values(self):
         for name, expected in EFFECTIVE_SIZES.items():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from graphres import (
     FIXTURE_NAMES,
     C0,
+    Edge,
+    Lead,
     MetricGraph,
     build_bond_system,
     det_smatrix_modulus,
@@ -13,11 +15,12 @@ from graphres import (
     fixture,
     interval,
     secular,
-    secular_derivative,
     secular_many,
     smatrix_many,
     vertex_matrix,
 )
+
+from graphres.scattering import log_derivative
 
 from conftest import BAND_HZ
 
@@ -140,12 +143,12 @@ class TestSecular:
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
-class TestSecularDerivative:
+class TestLogDerivative:
     def test_interval_closed_form(self):
         s = build_bond_system(interval(1.0))
         k = 3.7 - 0.4j
-        expected = -2j * np.exp(2j * k)
-        assert secular_derivative(s, k) == pytest.approx(expected, rel=1e-10)
+        expected = -2j * np.exp(2j * k) / (1.0 - np.exp(2j * k))
+        assert log_derivative(s, k) == pytest.approx(expected, rel=1e-10)
 
     @given(st.floats(1.0, 40.0), st.floats(-1.5, -0.05))
     @settings(max_examples=25, deadline=None)
@@ -153,12 +156,76 @@ class TestSecularDerivative:
         s = build_bond_system(fixture("nW2"))
         k = complex(re, im)
         h = 1e-6
-        fd = (secular(s, k + h) - secular(s, k - h)) / (2.0 * h)
-        assert secular_derivative(s, k) == pytest.approx(fd, rel=1e-6)
+        fd = (secular(s, k + h) - secular(s, k - h)) / (2.0 * h * secular(s, k))
+        assert log_derivative(s, k) == pytest.approx(fd, rel=1e-6)
 
     def test_nilpotent_derivative_vanishes(self):
+        # the secular function is identically 1; only LU roundoff remains
         s = build_bond_system(interval(1.0, leads=1))
-        assert secular_derivative(s, 4.2 - 0.3j) == pytest.approx(0.0, abs=1e-9)
+        for k in (4.2 - 0.3j, 30.0 - 2.0j, 0.1 - 5.0j):
+            assert log_derivative(s, k) == pytest.approx(0.0, abs=1e-14)
+
+
+def _reference_blocks(graph):
+    """Sigma and the lead blocks from the explicit ``2/d - delta`` loops."""
+    edges, leads = graph.edges, graph.leads
+    N, M = len(edges), len(leads)
+    init = [e.a for e in edges] + [e.b for e in edges]
+    term = [e.b for e in edges] + [e.a for e in edges]
+    deg = {v: term.count(v) + sum(l.anchor == v for l in leads) for v in graph.vertices}
+    sigma = np.zeros((2 * N, 2 * N))
+    lead_in = np.zeros((2 * N, M))
+    lead_out = np.zeros((M, 2 * N))
+    lead_reflect = np.zeros((M, M))
+    for b in range(2 * N):
+        t = 2.0 / deg[term[b]]
+        for bp in range(2 * N):
+            if init[bp] == term[b]:
+                sigma[bp, b] = t - (1.0 if bp == (b + N) % (2 * N) else 0.0)
+        for m, l in enumerate(leads):
+            if l.anchor == term[b]:
+                lead_out[m, b] = t
+    for m, l in enumerate(leads):
+        t = 2.0 / deg[l.anchor]
+        for bp in range(2 * N):
+            if init[bp] == l.anchor:
+                lead_in[bp, m] = t
+        for m2, l2 in enumerate(leads):
+            if l2.anchor == l.anchor:
+                lead_reflect[m2, m] = t - (1.0 if m2 == m else 0.0)
+    return sigma, lead_in, lead_out, lead_reflect
+
+
+def _reference_smatrix(system, k):
+    """``rho_LL + rho_LB e^{ikL} (I - Sigma e^{ikL})^-1 rho_BL`` at one k."""
+    P = np.diag(np.exp(1j * k * system.lengths))
+    inner = np.linalg.inv(np.eye(system.n_bonds) - system.sigma @ P)
+    return system.lead_reflect + system.lead_out @ P @ inner @ system.lead_in
+
+
+REFERENCE_GRAPHS = [fixture(name) for name in FIXTURE_NAMES] + [
+    MetricGraph(
+        (1, 2),
+        (Edge(1, 1, 2, 0.3), Edge(2, 2, 2, 0.17), Edge(3, 1, 2, 0.21)),
+        (Lead(1, 1), Lead(2, 2), Lead(3, 2)),
+    )
+]
+
+
+@pytest.mark.parametrize("graph", REFERENCE_GRAPHS, ids=[*FIXTURE_NAMES, "self-loop"])
+class TestAgainstReference:
+    def test_blocks_equal_the_vertex_loops(self, graph):
+        s = build_bond_system(graph)
+        for got, want in zip(
+            (s.sigma, s.lead_in, s.lead_out, s.lead_reflect), _reference_blocks(graph)
+        ):
+            assert np.array_equal(got, want)
+
+    def test_smatrix_matches_the_other_orientation(self, graph):
+        s = build_bond_system(graph)
+        ks = np.concatenate([band_ks(40), band_ks(40) - 0.3j])
+        want = np.array([_reference_smatrix(s, k) for k in ks])
+        assert np.max(np.abs(smatrix_many(s, ks) - want)) < 1e-12
 
 
 class TestExternalSMatrix:
