@@ -19,16 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import C0, DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, DIP_PROMINENCE, STRIP_DEPTH
+from .constants import C0, DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, STRIP_DEPTH
 from .fixtures import FIXTURE_NAMES, fixture
 from .graph import GraphError, MetricGraph, balance_report, cutoff_frequency
 from .graphio import load_graph
 from .scattering import build_bond_system
 from .sweep import sweep
-from .weyl import CSV_HEADER, ClassificationError, count_report, report_csv_row
+from .weyl import ClassificationError, CountReport, count_report
 from .zeros import SearchBox, SolverError, find_zeros, counting_function
 
 RESONANCE_HEADER = "re_k_per_m,im_k_per_m,nu_ghz,width_mhz,residual"
+CSV_HEADER = "graph,band_min_ghz,band_max_ghz,measured,weyl_pred,nonweyl_pred,slope,classification"
 TRACE_HEADER = "nu_hz,det_s_modulus"
 DIP_HEADER = "nu_hz,depth"
 
@@ -69,9 +70,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--fmax-ghz", type=float, default=DEFAULT_BAND_GHZ[1])
         p.add_argument("--depth", type=float, default=STRIP_DEPTH,
                        help="search strip depth |Im k|, 1/m")
-        p.add_argument("--absorption", type=_absorption, default=0.0,
-                       help="uniform absorption in 1/m, or 'default' "
-                            f"for the calibrated {DEFAULT_ABSORPTION}")
+        if name == "sweep":
+            p.add_argument("--absorption", type=_absorption, default=0.0,
+                           help="uniform absorption in 1/m, or 'default' "
+                                f"for the calibrated {DEFAULT_ABSORPTION}")
         p.add_argument("--out", metavar="PATH", help="output CSV (stdout if omitted)")
     return parser
 
@@ -79,14 +81,13 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> MetricGraph:
     if args.fixture:
         return fixture(args.fixture)
-    graph = load_graph(args.graph)
-    return graph
+    return load_graph(args.graph)
 
 
 def _band_hz(args) -> tuple[float, float]:
-    if not (0.0 <= args.fmin_ghz < args.fmax_ghz):
+    if not (0.0 <= args.fmin_ghz < args.fmax_ghz < np.inf):
         raise GraphError(
-            f"empty or inverted band {args.fmin_ghz}-{args.fmax_ghz} GHz"
+            f"empty, inverted or unbounded band {args.fmin_ghz}-{args.fmax_ghz} GHz"
         )
     return args.fmin_ghz * 1e9, args.fmax_ghz * 1e9
 
@@ -123,6 +124,15 @@ def _cmd_resonances(args, graph: MetricGraph) -> int:
     return 0
 
 
+def report_csv_row(name: str, report: CountReport) -> str:
+    ghz = (report.band[0] / 1e9, report.band[1] / 1e9)
+    return (
+        f"{name},{ghz[0]:g},{ghz[1]:g},{report.measured_count},"
+        f"{report.weyl_prediction:.2f},{report.nonweyl_prediction:.2f},"
+        f"{report.fitted_slope:.6f},{report.classification}"
+    )
+
+
 def _cmd_classify(args, graph: MetricGraph) -> int:
     band = _band_hz(args)
     name = args.fixture or Path(args.graph).stem
@@ -137,10 +147,10 @@ def _cmd_classify(args, graph: MetricGraph) -> int:
 
 def _cmd_sweep(args, graph: MetricGraph) -> int:
     band = _band_hz(args)
+    box = SearchBox.from_band(*band, depth=args.depth)
     _warn_above_cutoff(graph, band)
     system = build_bond_system(graph)
-    trace = sweep(system, band, absorption=args.absorption,
-                  prominence=DIP_PROMINENCE)
+    trace = sweep(system, band, absorption=args.absorption)
     trace_lines = [TRACE_HEADER]
     trace_lines.extend(
         f"{float(nu)!r},{float(m)!r}" for nu, m in zip(trace.nu, trace.modulus)
@@ -155,7 +165,7 @@ def _cmd_sweep(args, graph: MetricGraph) -> int:
         _emit("\n".join(trace_lines) + "\n", None)
         _emit("\n".join(dip_lines) + "\n", None)
     if trace.dips:
-        zs = find_zeros(system, SearchBox.from_band(*band, depth=args.depth))
+        zs = find_zeros(system, box)
         nus = np.array([r.nu for r in zs.resonances])
         halves = np.array([r.half_width for r in zs.resonances])
         for d in trace.dips:
@@ -198,7 +208,7 @@ def main(argv=None) -> int:
     try:
         graph = _load(args)
         return _COMMANDS[args.command](args, graph)
-    except (GraphError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (GraphError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClassificationError as exc:

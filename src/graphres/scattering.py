@@ -90,7 +90,7 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
 
 
 def _check_exponent_range(system: BondSystem, ks: np.ndarray) -> None:
-    worst = np.max(-ks.imag) * np.max(system.lengths)
+    worst = np.max(-ks.imag) * system.lengths.max(initial=0.0)
     if worst > _EXP_ARG_LIMIT:
         raise OverflowError(
             f"Im k too deep: |exp(ikL)| would exceed e^{_EXP_ARG_LIMIT:.0f}"

@@ -29,30 +29,23 @@ class Dip:
 
 @dataclass(frozen=True)
 class SweepTrace:
-    band: tuple[float, float]
-    base_spacing: float
     nu: np.ndarray        # ascending sample frequencies, Hz
     modulus: np.ndarray   # |det S| at each sample
-    absorption: float
     dips: tuple[Dip, ...]
 
 
-def sweep(
-    system: BondSystem,
-    band: tuple[float, float],
-    absorption: float = DEFAULT_ABSORPTION,
-    prominence: float = DIP_PROMINENCE,
-) -> SweepTrace:
+def sweep(system: BondSystem, band: tuple[float, float],
+          absorption: float = DEFAULT_ABSORPTION) -> SweepTrace:
     """Sample |det S| over the band and collect the dips.
 
     The base grid is refined wherever adjacent samples differ by more than
-    0.2, capped at 2^16 points.
+    0.2, capped at 2^16 points.  Dips are kept by ``detect_dips`` at its
+    default prominence, ``DIP_PROMINENCE``.
     """
     nu_min, nu_max = band
-    if not (0.0 < nu_min < nu_max):
+    if not (0.0 < nu_min < nu_max < np.inf):
         raise ValueError(f"bad band {band}")
     nu = np.linspace(nu_min, nu_max, _BASE_SAMPLES)
-    spacing = nu[1] - nu[0]
     y = det_smatrix_modulus(system, nu, absorption)
     while nu.size < _MAX_SAMPLES:
         jumps = np.nonzero(np.abs(np.diff(y)) >= _MAX_JUMP)[0]
@@ -66,9 +59,8 @@ def sweep(
         nu, y = nu[order], y[order]
     nu.setflags(write=False)
     y.setflags(write=False)
-    trace = SweepTrace(band, float(spacing), nu, y, absorption, ())
-    return SweepTrace(band, float(spacing), nu, y, absorption,
-                      tuple(detect_dips(trace, prominence)))
+    trace = SweepTrace(nu, y, ())
+    return SweepTrace(nu, y, tuple(detect_dips(trace)))
 
 
 def detect_dips(trace: SweepTrace, prominence: float = DIP_PROMINENCE) -> list[Dip]:

@@ -27,7 +27,8 @@ NON_WEYL = "non-Weyl"
 SLOPE_FIT_TOL = 0.02
 SLOPE_GATE = 0.05
 
-CSV_HEADER = "graph,band_min_ghz,band_max_ghz,measured,weyl_pred,nonweyl_pred,slope,classification"
+# wavenumbers R (1/m) at which count_report samples N(R) for the slope fit
+FIT_GRID = np.linspace(6.0, 400.0, 120)
 
 
 class ClassificationError(RuntimeError):
@@ -113,20 +114,14 @@ def classify(graph: MetricGraph, fitted_slope: float) -> str:
     return _judge(graph, effective_size(graph), fitted_slope)[0]
 
 
-def count_report(
-    graph: MetricGraph,
-    band: tuple[float, float],
-    depth: float = STRIP_DEPTH,
-    fit_range: tuple[float, float] = (6.0, 400.0),
-    fit_points: int = 120,
-) -> CountReport:
+def count_report(graph: MetricGraph, band: tuple[float, float],
+                 depth: float = STRIP_DEPTH) -> CountReport:
     """Measure, predict, fit, and classify in one pass."""
     system = build_bond_system(graph)
     l_eff = effective_size(graph)
     weyl_pred, nonweyl_pred = _band_counts(band, total_length(graph), l_eff)
     measured = len(find_zeros(system, SearchBox.from_band(*band, depth=depth)))
-    grid = np.linspace(fit_range[0], fit_range[1], fit_points)
-    slope, _, _ = fit_slope(counting_function(system, grid, depth=depth))
+    slope, _, _ = fit_slope(counting_function(system, FIT_GRID, depth=depth))
     classification, rel_err = _judge(graph, l_eff, slope)
     return CountReport(
         band=band,
@@ -136,13 +131,4 @@ def count_report(
         fitted_slope=slope,
         classification=classification,
         slope_relative_error=rel_err,
-    )
-
-
-def report_csv_row(name: str, report: CountReport) -> str:
-    ghz = (report.band[0] / 1e9, report.band[1] / 1e9)
-    return (
-        f"{name},{ghz[0]:g},{ghz[1]:g},{report.measured_count},"
-        f"{report.weyl_prediction:.2f},{report.nonweyl_prediction:.2f},"
-        f"{report.fitted_slope:.6f},{report.classification}"
     )

@@ -50,8 +50,9 @@ class SearchBox:
     im_max: float = 0.0
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError(f"degenerate box {self}")
+        if not (-np.inf < self.re_min < self.re_max < np.inf
+                and -np.inf < self.im_min < self.im_max < np.inf):
+            raise ValueError(f"degenerate or unbounded box {self}")
 
     @classmethod
     def from_band(cls, nu_min: float, nu_max: float,

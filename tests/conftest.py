@@ -14,15 +14,12 @@ from graphres import (
     find_zeros,
     fixture,
 )
-
-import numpy as np
+from graphres.weyl import FIT_GRID
 
 BAND_HZ = (0.3e9, 2.2e9)
 EXPECTED_COUNTS = {"W1": 13, "nW1": 11, "W2": 15, "nW2": 12}
 TOTAL_LENGTHS = {"W1": 0.999, "nW1": 0.999, "W2": 1.151, "nW2": 1.151}
 EFFECTIVE_SIZES = {"W1": 0.999, "nW1": 0.896, "W2": 1.151, "nW2": 0.972}
-
-FIT_GRID = np.linspace(6.0, 400.0, 120)
 
 
 @pytest.fixture(scope="session")

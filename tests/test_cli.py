@@ -107,6 +107,40 @@ class TestClassify:
         assert fields[3] == "0" and fields[-1] == "non-Weyl"
 
 
+class TestLeadsWithoutEdges:
+    # one lead on an isolated vertex: no bonds, no resonances, S = rho_LL
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "bare.txt"
+        path.write_text("[edges]\n[leads]\n1 1\n")
+        return str(path)
+
+    def test_resonances_table_is_empty(self, capsys, path):
+        code, out, err = run(capsys, "resonances", "--graph", path)
+        assert code == 0, err
+        assert rows(out)[1] == []
+
+    def test_classify_counts_nothing(self, capsys, path):
+        code, out, err = run(capsys, "classify", "--graph", path)
+        assert code == 0, err
+        assert rows(out)[1] == ["bare,0.3,2.2,0,0.00,0.00,0.000000,Weyl"]
+
+    def test_sweep_is_flat(self, capsys, path):
+        code, out, err = run(capsys, "sweep", "--graph", path, "--absorption", "0.1")
+        assert code == 0, err
+        trace = out.split("nu_hz,depth")[0]
+        _, body = rows(trace)
+        assert {float(r.split(",")[1]) for r in body} == {1.0}
+
+    def test_count_is_zero(self, capsys, path):
+        code, out, err = run(capsys, "count", "--graph", path)
+        assert code == 0, err
+        _, body = rows(out)
+        assert len(body) == 100
+        assert {r.split(",")[1] for r in body} == {"0"}
+
+
 class TestSweep:
     def test_lossless_sweep_has_flat_trace_and_no_dips(self, capsys, tmp_path):
         out = tmp_path / "trace.csv"
@@ -177,6 +211,26 @@ class TestFailureModes:
                            str(tmp_path / "nope.txt"))
         assert code == 2
         assert "error:" in err
+
+    def test_directory_as_graph_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "resonances", "--graph", str(tmp_path))
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["resonances", "classify", "sweep", "count"])
+    @pytest.mark.parametrize("flag, message", [("--fmax-ghz", "unbounded band"),
+                                               ("--depth", "unbounded box")])
+    def test_infinite_input_exits_2(self, capsys, command, flag, message):
+        code, out, err = run(capsys, command, "--fixture", "W1", flag, "inf")
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["resonances", "classify", "count"])
+    def test_absorption_is_a_sweep_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fixture", "W1", "--absorption", "0.1"])
+        assert exc.value.code == 2
 
     def test_inverted_band_exits_2(self, capsys):
         code, _, _ = run(capsys, "classify", "--fixture", "W1",

@@ -38,6 +38,9 @@ class TestTrace:
     def test_rejects_bad_band(self, systems):
         with pytest.raises(ValueError):
             sweep(systems["W1"], (2e9, 1e9))
+        for band in ((1e9, np.inf), (1e9, np.nan)):
+            with pytest.raises(ValueError):
+                sweep(systems["W1"], band, absorption=0.0)
 
 
 class TestDips:

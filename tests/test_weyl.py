@@ -16,10 +16,10 @@ from graphres import (
     fixture,
     interval,
     predicted_count,
-    report_csv_row,
-    round_half_up,
     total_length,
 )
+from graphres.cli import report_csv_row
+from graphres.weyl import round_half_up
 
 from conftest import BAND_HZ, EXPECTED_COUNTS
 

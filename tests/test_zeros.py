@@ -28,6 +28,14 @@ class TestSearchBox:
         with pytest.raises(ValueError):
             SearchBox(1.0, 2.0, 0.0, 0.0)
 
+    def test_rejects_unbounded(self):
+        for bounds in ((1.0, np.inf, -1.0, 0.0), (1.0, 2.0, -np.inf, 0.0),
+                       (np.nan, 2.0, -1.0, 0.0)):
+            with pytest.raises(ValueError, match="unbounded"):
+                SearchBox(*bounds)
+        with pytest.raises(ValueError, match="unbounded"):
+            SearchBox.from_band(1e9, 2e9, depth=np.inf)
+
     def test_from_band_keeps_origin_out(self):
         box = SearchBox.from_band(0.0, 1e9)
         assert box.re_min > 0.0
