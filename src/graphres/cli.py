@@ -147,6 +147,10 @@ def _cmd_classify(args, graph: MetricGraph) -> int:
 
 def _cmd_sweep(args, graph: MetricGraph) -> int:
     band = _band_hz(args)
+    if band[0] == 0.0:  # |det S(nu)| needs nu > 0
+        raise GraphError(
+            f"sweep band must start above 0 GHz, got {args.fmin_ghz}-{args.fmax_ghz} GHz"
+        )
     box = SearchBox.from_band(*band, depth=args.depth)
     _warn_above_cutoff(graph, band)
     system = build_bond_system(graph)

@@ -116,7 +116,11 @@ def classify(graph: MetricGraph, fitted_slope: float) -> str:
 
 def count_report(graph: MetricGraph, band: tuple[float, float],
                  depth: float = STRIP_DEPTH) -> CountReport:
-    """Measure, predict, fit, and classify in one pass."""
+    """Measure, predict, fit, and classify in one pass.
+
+    The band is solved once, for the measured count; the slope fit reads
+    strip windings from :func:`counting_function` and locates no zeros.
+    """
     system = build_bond_system(graph)
     l_eff = effective_size(graph)
     weyl_pred, nonweyl_pred = _band_counts(band, total_length(graph), l_eff)

@@ -4,6 +4,9 @@ The secular determinant is entire in k, so the number of zeros inside a
 rectangle equals the winding number of its boundary image around 0.  Boxes
 are subdivided until each contains a single zero, which Newton iteration on
 the logarithmic derivative then pins to ~1e-12.
+
+The counting function N(R) locates no zeros: it cuts one strip into
+sub-strips that share their sampled vertical cuts and sums their windings.
 """
 
 from __future__ import annotations
@@ -153,17 +156,26 @@ def _winding(system: BondSystem, box: SearchBox) -> tuple[int, float]:
     :class:`BoundaryProximityError` when a side cannot be resolved.
     """
     c = box.corners
-    loop_f = []
-    for side in range(4):
-        _, f = _sample_side(system, c[side], c[(side + 1) % 4], side)
-        loop_f.append(f)
-    f = np.concatenate(loop_f)
+    return _loop_winding([
+        _sample_side(system, c[side], c[(side + 1) % 4], side)[1]
+        for side in range(4)
+    ])
+
+
+def _loop_winding(sides) -> tuple[int, float]:
+    """Winding number around 0 of the closed loop through the sampled sides.
+
+    Each side starts where the previous one ends.  Returns (count, max |f|)
+    and raises :class:`SolverError` unless the phase sum is a nonnegative
+    integer to within 1e-3.
+    """
+    f = np.concatenate(sides)
     # duplicated corner points contribute zero-length (zero-phase) segments
     inc = np.angle(f[1:] * np.conj(f[:-1]))
     total = (inc.sum() + np.angle(f[0] * np.conj(f[-1]))) / (2.0 * np.pi)
     count = int(round(total))
     if abs(total - count) > 1e-3 or count < 0:
-        raise SolverError(f"winding sum {total} is not a nonnnegative integer")
+        raise SolverError(f"winding sum {total} is not a nonnegative integer")
     return count, float(np.max(np.abs(f)))
 
 
@@ -313,13 +325,61 @@ def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
     """Cumulative zero counts N(R) over strips [0, R] x [-depth, 0].
 
     ``R_values`` must be positive and ascending.  The spectral point k = 0 is
-    excluded (it is not a resonance).
+    excluded (it is not a resonance).  No zero is located: the root strip up
+    to the last R is cut at every other R into strips that share their
+    vertical cuts, each strip is counted by its own winding number, and the
+    running sum must reach the root strip's winding.  A cut that passes
+    through a zero is shifted right by 1e-6 of the root span, so a zero at
+    Re k = R counts in N(R).
     """
     R = np.asarray(R_values, dtype=float)
     if R.size == 0 or np.any(R <= 0.0) or np.any(np.diff(R) <= 0.0):
         raise ValueError("R_values must be positive and strictly ascending")
-    box = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
-    zs = find_zeros(system, box)
-    positions = np.array([r.k.real for r in zs], dtype=float)
-    counts = np.searchsorted(positions, R, side="right")
+    root = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
+    total, _, root = _winding_nudged(system, root)
+    lo, hi = root.im_min, root.im_max
+    shift = _NUDGE * (root.re_max - root.re_min)
+
+    def cut(x):
+        return _sample_side(system, complex(x, lo), complex(x, hi), 1)[1]
+
+    # at[j]: index of the cut that closes N(R[j]) on the right.  An R left of
+    # the previous (possibly shifted) cut shares it; once a shift reaches the
+    # root's right edge, the remaining R take the whole strip.
+    xs, cuts, at = [root.re_min], [cut(root.re_min)], []
+    for r in R[:-1]:
+        x = float(r)
+        if x > xs[-1]:
+            for _ in range(_MAX_NUDGES):
+                try:
+                    f = cut(x)
+                    break
+                except BoundaryProximityError:
+                    x += shift
+            else:
+                raise SolverError(
+                    f"cut at Re k = {r} still near a zero after {_MAX_NUDGES} nudges"
+                )
+            if x >= root.re_max:
+                break
+            xs.append(x)
+            cuts.append(f)
+        at.append(len(xs) - 1)
+    xs.append(root.re_max)
+    cuts.append(cut(root.re_max))
+    at += [len(xs) - 1] * (R.size - len(at))
+    strips = [
+        _loop_winding([
+            _sample_side(system, complex(a, lo), complex(b, lo), 0)[1],
+            cuts[i + 1],
+            _sample_side(system, complex(b, hi), complex(a, hi), 2)[1],
+            cuts[i][::-1],
+        ])[0]
+        for i, (a, b) in enumerate(zip(xs[:-1], xs[1:]))
+    ]
+    counts = np.concatenate([[0], np.cumsum(strips)])[at]
+    if counts[-1] != total:
+        raise SolverError(
+            f"strip windings sum to {counts[-1]} but the root winding says {total}"
+        )
     return [(float(r), int(n)) for r, n in zip(R, counts)]

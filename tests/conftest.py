@@ -14,12 +14,25 @@ from graphres import (
     find_zeros,
     fixture,
 )
+import graphres.zeros
 from graphres.weyl import FIT_GRID
 
 BAND_HZ = (0.3e9, 2.2e9)
 EXPECTED_COUNTS = {"W1": 13, "nW1": 11, "W2": 15, "nW2": 12}
 TOTAL_LENGTHS = {"W1": 0.999, "nW1": 0.999, "W2": 1.151, "nW2": 1.151}
 EFFECTIVE_SIZES = {"W1": 0.999, "nW1": 0.896, "W2": 1.151, "nW2": 0.972}
+
+
+@pytest.fixture()
+def overcounted_root(monkeypatch):
+    """Make every root winding one too high, so no count can be certified."""
+    nudged = graphres.zeros._winding_nudged
+
+    def one_too_many(system, box):
+        count, scale, used = nudged(system, box)
+        return count + 1, scale, used
+
+    monkeypatch.setattr(graphres.zeros, "_winding_nudged", one_too_many)
 
 
 @pytest.fixture(scope="session")

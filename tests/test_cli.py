@@ -232,6 +232,21 @@ class TestFailureModes:
             main([command, "--fixture", "W1", "--absorption", "0.1"])
         assert exc.value.code == 2
 
+    def test_sweep_from_zero_ghz_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(capsys, "sweep", "--fixture", "nW1",
+                                "--fmin-ghz", "0", "--out", str(out))
+        assert code == 2
+        assert "GHz" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_uncertified_count_exits_3(self, capsys, overcounted_root):
+        code, out, err = run(capsys, "count", "--fixture", "nW1")
+        assert code == 3
+        assert "solver error" in err
+        assert out == ""
+
     def test_inverted_band_exits_2(self, capsys):
         code, _, _ = run(capsys, "classify", "--fixture", "W1",
                          "--fmin-ghz", "2.0", "--fmax-ghz", "1.0")

@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphres.weyl
+import graphres.zeros
 from graphres import (
     NON_WEYL,
     WEYL,
     ClassificationError,
     Edge,
     MetricGraph,
+    build_bond_system,
     classify,
     count_report,
+    counting_function,
     effective_size,
     fit_slope,
     fixture,
@@ -19,7 +23,7 @@ from graphres import (
     total_length,
 )
 from graphres.cli import report_csv_row
-from graphres.weyl import round_half_up
+from graphres.weyl import FIT_GRID, round_half_up
 
 from conftest import BAND_HZ, EXPECTED_COUNTS
 
@@ -148,3 +152,18 @@ class TestCountReport:
         row = report_csv_row("nW1", rep)
         assert row.startswith("nW1,0.3,2.2,11,12.66,11.36,")
         assert row.endswith(",non-Weyl")
+
+    def test_report_solves_once(self, monkeypatch):
+        # the band's zeros give the measured count; the fit needs only windings
+        calls = []
+        for module in (graphres.weyl, graphres.zeros):
+            def counted(*args, _solve=module.find_zeros, _name=module.__name__):
+                calls.append(_name)
+                return _solve(*args)
+
+            monkeypatch.setattr(module, "find_zeros", counted)
+        count_report(fixture("nW1"), BAND_HZ)
+        assert calls == ["graphres.weyl"]
+        calls.clear()
+        counting_function(build_bond_system(fixture("nW1")), FIT_GRID)
+        assert calls == []

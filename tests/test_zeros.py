@@ -4,7 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphres import (
+    STRIP_DEPTH,
+    Edge,
+    Lead,
+    MetricGraph,
     SearchBox,
+    SolverError,
     build_bond_system,
     count_zeros,
     counting_function,
@@ -167,3 +172,65 @@ class TestCountingFunction:
         # the spectral point at the origin is not a resonance; a strip up to
         # R = 1 holds nothing even though secular(0) = 0
         assert counting_function(neumann, [1.0], depth=0.5) == [(1.0, 0)]
+        # an R left of the strip's edge at 1e-9 counts nothing
+        table = counting_function(neumann, [1e-10, 1.0, 10.0], depth=0.5)
+        assert [n for _, n in table] == [0, 0, 3]
+
+    def test_cuts_through_zeros(self, neumann):
+        # a zero exactly at Re k = R counts in N(R); one just past R does not
+        table = counting_function(neumann, [np.pi, 2 * np.pi, 10.0], depth=0.5)
+        assert [n for _, n in table] == [1, 2, 3]
+        R = [np.pi * (1 - 1e-9), np.pi * (1 + 1e-9), 10.0]
+        assert [n for _, n in counting_function(neumann, R, depth=0.5)] == [0, 1, 3]
+        # the cut moved off the zero at pi passes the next R, or the last one
+        R = [np.pi, np.pi + 1e-6, 10.0]
+        assert [n for _, n in counting_function(neumann, R, depth=0.5)] == [1, 1, 3]
+        R = [np.pi, np.pi + 1e-6]
+        assert [n for _, n in counting_function(neumann, R, depth=0.5)] == [1, 1]
+
+    def test_strips_must_sum_to_the_root_winding(self, neumann, overcounted_root):
+        with pytest.raises(SolverError, match="root winding"):
+            counting_function(neumann, [4.0, 10.0], depth=0.5)
+
+
+def _located_counts(system, R, depth=STRIP_DEPTH):
+    """N(R) by the definition the strip counter replaced: locate every zero
+    of the root strip, then count positions Re k <= R."""
+    box = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
+    positions = np.array([r.k.real for r in find_zeros(system, box)])
+    return list(np.searchsorted(positions, R, side="right"))
+
+
+class TestStripCounterAgainstLocatedZeros:
+    @pytest.mark.parametrize("name", ["W1", "nW2"])
+    def test_equals_searchsorted_of_located_zeros(self, systems, name):
+        R = np.linspace(2.0, 150.0, 75)
+        table = counting_function(systems[name], R)
+        assert [n for _, n in table] == _located_counts(systems[name], R)
+
+
+@st.composite
+def small_open_graphs(draw):
+    """Connected graphs on 2-4 vertices: a path, maybe one extra edge
+    (a chord or a self-loop), and one or two leads."""
+    n = draw(st.integers(2, 4))
+    length = st.floats(0.1, 1.0)
+    ends = [(v, v + 1) for v in range(1, n)]
+    if draw(st.booleans()):
+        ends.append((draw(st.integers(1, n)), draw(st.integers(1, n))))
+    edges = tuple(Edge(i + 1, a, b, draw(length)) for i, (a, b) in enumerate(ends))
+    anchors = draw(st.lists(st.integers(1, n), min_size=1, max_size=2))
+    leads = tuple(Lead(i + 1, v) for i, v in enumerate(anchors))
+    return MetricGraph(tuple(range(1, n + 1)), edges, leads)
+
+
+class TestStripCounterProperties:
+    @given(small_open_graphs(), st.floats(10.0, 40.0), st.integers(2, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_total_is_the_root_winding_and_table_is_monotone(self, graph, r_max, n):
+        system = build_bond_system(graph)
+        R = np.linspace(r_max / n, r_max, n)
+        counts = [c for _, c in counting_function(system, R)]
+        root = SearchBox(1e-9, r_max, -STRIP_DEPTH, 0.0)
+        assert counts[-1] == count_zeros(system, root)
+        assert counts == sorted(counts)
