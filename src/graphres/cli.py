@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import C0, DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, STRIP_DEPTH
+from .constants import DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, STRIP_DEPTH
 from .fixtures import FIXTURE_NAMES, fixture
 from .graph import GraphError, MetricGraph, balance_report, cutoff_frequency
 from .graphio import load_graph
@@ -187,11 +187,9 @@ def _cmd_sweep(args, graph: MetricGraph) -> int:
 
 
 def _cmd_count(args, graph: MetricGraph) -> int:
-    band = _band_hz(args)
+    box = SearchBox.from_band(*_band_hz(args), depth=args.depth)
     system = build_bond_system(graph)
-    r_lo = max(2.0 * np.pi * band[0] / C0, 1e-3)
-    r_hi = 2.0 * np.pi * band[1] / C0
-    grid = np.linspace(r_lo, r_hi, 100)
+    grid = np.linspace(box.re_min, box.re_max, 100)
     table = counting_function(system, grid, depth=args.depth)
     lines = ["r_per_m,n_zeros"]
     lines.extend(f"{r!r},{n}" for r, n in table)

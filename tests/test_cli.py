@@ -66,7 +66,25 @@ class TestResonances:
         assert a.read_bytes().startswith(b"re_k_per_m")
 
 
+CLASSIFY_HEADER = ("graph,band_min_ghz,band_max_ghz,measured,weyl_pred,"
+                   "nonweyl_pred,slope,classification")
+CLASSIFY_OUTPUTS = {
+    "W1": "W1,0.3,2.2,13,12.66,12.66,0.318138,Weyl\n",
+    "nW1": "nW1,0.3,2.2,11,12.66,11.36,0.285274,non-Weyl\n"
+           "# balanced_vertex=1 shortest_edge=2 ell_s=0.103\n",
+    "W2": "W2,0.3,2.2,15,14.59,14.59,0.366279,Weyl\n",
+    "nW2": "nW2,0.3,2.2,12,14.59,12.32,0.309976,non-Weyl\n"
+           "# balanced_vertex=1 shortest_edge=2 ell_s=0.179\n",
+}
+
+
 class TestClassify:
+    @pytest.mark.parametrize("name", CLASSIFY_OUTPUTS)
+    def test_fixture_output_is_pinned(self, capsys, name):
+        code, out, err = run(capsys, "classify", "--fixture", name)
+        assert code == 0, err
+        assert out == CLASSIFY_HEADER + "\n" + CLASSIFY_OUTPUTS[name]
+
     def test_nonweyl_row_names_the_balanced_vertex(self, capsys):
         code, out, _ = run(capsys, "classify", "--fixture", "nW1")
         header, body = rows(out)
@@ -196,6 +214,15 @@ class TestCount:
         assert np.all(np.diff(n) >= 0)
         assert n[-1] > 0
 
+    def test_band_below_the_grid_floor(self, capsys):
+        code, out, err = run(capsys, "count", "--fixture", "W1",
+                             "--fmin-ghz", "0", "--fmax-ghz", "0.00001")
+        assert code == 0, err
+        _, body = rows(out)
+        assert len(body) == 100
+        r = np.array([float(row.split(",")[0]) for row in body])
+        assert np.all(np.diff(r) > 0)
+
 
 class TestFailureModes:
     def test_invalid_graph_exits_2(self, capsys, tmp_path):
@@ -226,6 +253,13 @@ class TestFailureModes:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["resonances", "classify", "sweep", "count"])
+    def test_zero_depth_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--fixture", "W1", "--depth", "0")
+        assert code == 2
+        assert "depth must be positive" in err
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["resonances", "classify", "count"])
     def test_absorption_is_a_sweep_option(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -241,8 +275,9 @@ class TestFailureModes:
         assert stdout == ""
         assert not out.exists()
 
-    def test_uncertified_count_exits_3(self, capsys, overcounted_root):
-        code, out, err = run(capsys, "count", "--fixture", "nW1")
+    @pytest.mark.parametrize("command", ["count", "classify"])
+    def test_uncertified_count_exits_3(self, capsys, overcounted_root, command):
+        code, out, err = run(capsys, command, "--fixture", "nW1")
         assert code == 3
         assert "solver error" in err
         assert out == ""

@@ -11,11 +11,11 @@ from graphres import (
     ClassificationError,
     Edge,
     MetricGraph,
-    build_bond_system,
+    SearchBox,
     classify,
     count_report,
-    counting_function,
     effective_size,
+    find_zeros,
     fit_slope,
     fixture,
     interval,
@@ -23,7 +23,7 @@ from graphres import (
     total_length,
 )
 from graphres.cli import report_csv_row
-from graphres.weyl import FIT_GRID, round_half_up
+from graphres.weyl import round_half_up
 
 from conftest import BAND_HZ, EXPECTED_COUNTS
 
@@ -153,17 +153,28 @@ class TestCountReport:
         assert row.startswith("nW1,0.3,2.2,11,12.66,11.36,")
         assert row.endswith(",non-Weyl")
 
-    def test_report_solves_once(self, monkeypatch):
-        # the band's zeros give the measured count; the fit needs only windings
+    def test_report_locates_no_zeros(self, monkeypatch):
+        # one strip table gives both the band count and the slope fit
         calls = []
-        for module in (graphres.weyl, graphres.zeros):
-            def counted(*args, _solve=module.find_zeros, _name=module.__name__):
-                calls.append(_name)
-                return _solve(*args)
 
-            monkeypatch.setattr(module, "find_zeros", counted)
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(f"{module.__name__}.{name}")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (graphres.weyl, graphres.zeros):
+            counted(module, "find_zeros")
+        counted(graphres.weyl, "counting_function")
         count_report(fixture("nW1"), BAND_HZ)
-        assert calls == ["graphres.weyl"]
-        calls.clear()
-        counting_function(build_bond_system(fixture("nW1")), FIT_GRID)
-        assert calls == []
+        assert calls == ["graphres.weyl.counting_function"]
+
+    @pytest.mark.parametrize("band", [(0.0, 2.2e9), (0.5e9, 1.5e9),
+                                      (1e9, 6e9), (2.2e9, 4.4e9)])
+    @pytest.mark.parametrize("name", ["W1", "nW1", "W2", "nW2"])
+    def test_measured_count_equals_located_count(self, systems, name, band):
+        located = find_zeros(systems[name], SearchBox.from_band(*band))
+        assert count_report(fixture(name), band).measured_count == len(located)
