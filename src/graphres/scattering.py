@@ -8,10 +8,28 @@ arriving on bond b picks up the vertex amplitude ``2/d_v - delta``, where
 for back-reflection.  Those amplitudes are unitary, real and symmetric on
 every vertex, which is what makes the whole construction flux-conserving.
 
-Everything below is built from one bond matrix, ``M(k) = I - e^{ikL} Sigma``:
-resonances are the zeros of ``det M(k)`` continued into the lower half of
-the complex k-plane, and the lead-to-lead scattering matrix is
+The model is the bond matrix ``M(k) = I - e^{ikL} Sigma``: resonances are
+the zeros of ``det M(k)`` continued into the lower half of the complex
+k-plane, and the lead-to-lead scattering matrix is
 ``S(k) = rho_LL + rho_LB M(k)^-1 e^{ikL} rho_BL``.
+
+Both are evaluated through the V x V vertex matrix instead.  Per edge
+e = (a, b) let ``z_e = e^{ik l_e}`` and ``s_e = 1 - z_e^2``, and let
+
+    K(k) = sum_e (z_e/s_e)(E_ab + E_ba) - (z_e^2/s_e)(E_aa + E_bb),
+    H(k) = I_V - W K(k),   W = diag(2/d_v).
+
+Sigma is ``T W E - R`` (bond start and end incidences T and E, bond
+reversal R), so ``M = (I + e^{ikL} R) - e^{ikL} T W E``.  The first term is
+block diagonal with determinant ``prod_e s_e``, and the matrix determinant
+lemma and the Woodbury identity give
+
+    det M(k) = prod_e s_e * det H(k),
+    S(k) = -I_M + Q^T H(k)^-1 W Q,
+
+with Q the V x M lead-anchor incidence.  The product cancels with an error
+of order eps/|s_e|^2, so a point with some ``|s_e| < 1e-2`` (a real k within
+about 0.005/l_e of a Dirichlet point n pi/l_e) is evaluated on M(k) itself.
 """
 
 from __future__ import annotations
@@ -26,18 +44,29 @@ from .graph import MetricGraph
 
 # |e^{-Im k * L}| beyond e^700 overflows double precision
 _EXP_ARG_LIMIT = 700.0
-_CHUNK = 16384
+# below this min_e |1 - e^{2ik l_e}| the vertex form loses digits
+_MIN_EDGE_GAP = 1e-2
+# complex matrices held per batch; LAPACK works per matrix, so the batch
+# size never changes a value
+_BATCH_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
 class BondSystem:
-    """Immutable bond-level model of an open metric graph."""
+    """Immutable bond-level model of an open metric graph, with its vertex form."""
 
     lengths: np.ndarray       # (2N,) bond lengths, m
     sigma: np.ndarray         # (2N, 2N) bond-to-bond amplitudes
     lead_in: np.ndarray       # (2N, M) lead -> bond
     lead_out: np.ndarray      # (M, 2N) bond -> lead
     lead_reflect: np.ndarray  # (M, M) lead -> lead
+    ends: np.ndarray          # (N, 2) vertex indices of each edge's ends
+    weights: np.ndarray       # (V,) diagonal of W, 2/d_v
+    anchors: np.ndarray       # (M,) vertex index of each lead (Q)
+    # H = diag(h0) - (terms grouped by flat position in H): h0, then per
+    # group its coefficient columns (z/s per edge, then -1/s per edge), the
+    # index of its first term, its flat position and its row weight
+    h_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def n_edges(self) -> int:
@@ -50,6 +79,10 @@ class BondSystem:
     @property
     def n_leads(self) -> int:
         return self.lead_reflect.shape[0]
+
+    @property
+    def n_vertices(self) -> int:
+        return self.weights.size
 
 
 def vertex_matrix(d: int) -> np.ndarray:
@@ -84,37 +117,125 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
     sigma, lead_in, lead_out, lead_reflect = (
         full[rows, cols].copy() for rows in (bonds, leads) for cols in (bonds, leads)
     )
-    for a in (lengths, sigma, lead_in, lead_out, lead_reflect):
+
+    # vertex form: vertices are numbered in channel-map order, and channel c
+    # leaves vertex index[starts[c]]
+    index = {v: i for i, v in enumerate(channels)}
+    at = np.array([index[v] for v in starts], dtype=np.intp)
+    ends = at[:n].reshape(2, N).T.copy()
+    degree = np.array([len(out) for out in channels.values()])
+    weights = 2.0 / degree
+    anchors = at[n:]
+    h_terms = _vertex_terms(ends, degree)
+    for a in (lengths, sigma, lead_in, lead_out, lead_reflect, ends, weights,
+              anchors, *h_terms):
         a.setflags(write=False)
-    return BondSystem(lengths, sigma, lead_in, lead_out, lead_reflect)
+    return BondSystem(lengths, sigma, lead_in, lead_out, lead_reflect,
+                      ends, weights, anchors, h_terms)
 
 
-def _check_exponent_range(system: BondSystem, ks: np.ndarray) -> None:
-    worst = np.max(-ks.imag) * system.lengths.max(initial=0.0)
-    if worst > _EXP_ARG_LIMIT:
+def _vertex_terms(ends: np.ndarray, degree: np.ndarray):
+    """The constant diagonal of H and its k-dependent terms grouped by position.
+
+    Writing ``-z^2/s = 1 - 1/s`` moves a constant ``2/d_v`` per bond end into
+    ``h0_v = (leads_v - bond ends_v) / d_v``, which is exactly 0 on a
+    balanced vertex, so deep in the lower half-plane, where ``z^2/s -> -1``,
+    the diagonal is not a difference of two numbers near 1.
+    """
+    V, N = degree.size, ends.shape[0]
+    a, b = ends.T
+    flat = np.concatenate([a * V + b, b * V + a, a * V + a, b * V + b])
+    column = np.concatenate([np.arange(N), np.arange(N), np.arange(N, 2 * N),
+                             np.arange(N, 2 * N)])
+    order = np.argsort(flat, kind="stable")
+    flat, column = flat[order], column[order]
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    h0 = (degree - 2 * np.bincount(ends.ravel(), minlength=V)) / degree
+    return h0, column, first, flat[first], 2.0 / degree[flat[first] // V]
+
+
+def _wavenumbers(system: BondSystem, ks) -> np.ndarray:
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    if -ks.imag.min() * system.lengths.max(initial=0.0) > _EXP_ARG_LIMIT:
         raise OverflowError(
             f"Im k too deep: |exp(ikL)| would exceed e^{_EXP_ARG_LIMIT:.0f}"
         )
+    return ks
+
+
+def _batch_size(n: int) -> int:
+    """Points per batch of n x n complex matrices within ``_BATCH_BYTES``."""
+    return max(1, _BATCH_BYTES // (16 * n * n))
 
 
 def _bond_matrices(system: BondSystem, ks):
-    """Yield ``(e^{ikL}, M(k) = I - e^{ikL} Sigma)`` for each chunk of ``ks``.
+    """Yield ``(e^{ikL}, M(k) = I - e^{ikL} Sigma)`` for each batch of ``ks``.
 
     e^{ikL} is diagonal, so it scales the rows of Sigma; the product is
-    turned into M in place, so a chunk holds a single batch of matrices.
+    turned into M in place, so a batch holds a single set of matrices.
     """
-    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    _check_exponent_range(system, ks)
+    ks = _wavenumbers(system, ks)
     eye = np.eye(system.n_bonds)
-    for lo in range(0, ks.size, _CHUNK):
-        phases = np.exp(1j * ks[lo:lo + _CHUNK, None] * system.lengths)
+    step = _batch_size(system.n_bonds)
+    for lo in range(0, ks.size, step):
+        phases = np.exp(1j * ks[lo:lo + step, None] * system.lengths)
         mats = phases[:, :, None] * system.sigma
         yield phases, np.subtract(eye, mats, out=mats)
 
 
+def _vertex_matrices(system: BondSystem, ks: np.ndarray):
+    """Yield ``(rows, prod_e s_e, H(k))`` for each batch of ``ks``.
+
+    ``rows`` selects the points of ``ks`` that the vertex form serves: the
+    batch's slice, or an index array once some ``|s_e| < _MIN_EDGE_GAP``.
+    Those points are dropped before any division, for the bond matrix.
+    """
+    V = system.n_vertices
+    ell = system.lengths[:system.n_edges]
+    h0, column, first, flat, row_weight = system.h_terms
+    step = _batch_size(V)
+    for lo in range(0, ks.size, step):
+        z = np.exp(1j * ks[lo:lo + step, None] * ell)
+        s = 1.0 - z * z
+        rows = slice(lo, lo + z.shape[0])
+        close = np.abs(s) < _MIN_EDGE_GAP
+        if close.any():
+            far = ~close.any(axis=1)
+            rows = lo + np.flatnonzero(far)
+            z, s = z[far], s[far]
+        inv = 1.0 / s
+        coef = np.concatenate([z * inv, -inv], axis=1)
+        H = np.zeros((z.shape[0], V * V), dtype=complex)
+        if column.size:  # a graph of leads only has no edge terms
+            terms = np.add.reduceat(coef.take(column, axis=1), first, axis=1)
+            H[:, flat] = -row_weight * terms
+        H[:, ::V + 1] += h0
+        yield rows, s.prod(axis=1), H.reshape(-1, V, V)
+
+
+def _evaluate(system: BondSystem, ks, shape, vertex, bond) -> np.ndarray:
+    """``vertex(prod s, H)`` at each point, or ``bond(e^{ikL}, M)`` where it must."""
+    ks = _wavenumbers(system, ks)
+    out = np.empty((ks.size, *shape), dtype=complex)
+    served = np.zeros(ks.size, dtype=bool)
+    for rows, scale, H in _vertex_matrices(system, ks):
+        out[rows] = vertex(scale, H)
+        served[rows] = True
+    if not served.all():
+        rest = np.flatnonzero(~served)
+        out[rest] = np.concatenate([
+            bond(phases, mats) for phases, mats in _bond_matrices(system, ks[rest])
+        ])
+    return out
+
+
 def secular_many(system: BondSystem, ks) -> np.ndarray:
-    """Vectorized ``det(I - e^{ikL} Sigma)`` over an array of wavenumbers."""
-    return np.concatenate([np.linalg.det(m) for _, m in _bond_matrices(system, ks)])
+    """Vectorized ``det(I - e^{ikL} Sigma) = prod_e s_e det H`` over wavenumbers."""
+    return _evaluate(
+        system, ks, (),
+        lambda scale, H: scale * np.linalg.det(H),
+        lambda phases, mats: np.linalg.det(mats),
+    )
 
 
 def secular(system: BondSystem, k: complex) -> complex:
@@ -135,16 +256,27 @@ def log_derivative(system: BondSystem, k: complex) -> complex:
 def smatrix_many(system: BondSystem, ks) -> np.ndarray:
     """Lead-to-lead scattering matrices, shape (m, M, M).
 
-    ``S = rho_LL + rho_LB (I - e^{ikL} Sigma)^-1 e^{ikL} rho_BL``: the bond
-    matrix is the secular one, and e^{ikL} scales the rows of ``rho_BL``.
+    ``S = -I_M + Q^T H^-1 W Q``; on the bond matrix, where the vertex form
+    loses digits, ``S = rho_LL + rho_LB M^-1 e^{ikL} rho_BL``, with e^{ikL}
+    scaling the rows of ``rho_BL``.
     """
-    if system.n_leads == 0:
+    M = system.n_leads
+    if M == 0:
         raise ValueError("graph has no leads; the scattering matrix is empty")
-    return np.concatenate([
-        system.lead_reflect
-        + system.lead_out @ np.linalg.solve(mats, phases[:, :, None] * system.lead_in)
-        for phases, mats in _bond_matrices(system, ks)
-    ])
+    leads = np.arange(M)
+    wq = np.zeros((system.n_vertices, M))
+    wq[system.anchors, leads] = system.weights[system.anchors]
+
+    def vertex(scale, H):
+        S = np.linalg.solve(H, wq)[:, system.anchors, :]
+        S[:, leads, leads] -= 1.0
+        return S
+
+    return _evaluate(
+        system, ks, (M, M), vertex,
+        lambda phases, mats: system.lead_reflect + system.lead_out
+        @ np.linalg.solve(mats, phases[:, :, None] * system.lead_in),
+    )
 
 
 def external_smatrix(system: BondSystem, k: complex) -> np.ndarray:

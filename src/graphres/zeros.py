@@ -130,7 +130,7 @@ def _sample_side(system: BondSystem, z0: complex, z1: complex, side: int):
     while True:
         if np.any(np.abs(f) < _ABS_FLOOR):
             raise BoundaryProximityError(side, "secular vanishes on the boundary")
-        inc = np.angle(f[1:] * np.conj(f[:-1]))
+        inc = _phase_steps(f)
         bad = np.abs(inc) >= _PHASE_CAP
         if not bad.any():
             return t, f
@@ -147,6 +147,16 @@ def _sample_side(system: BondSystem, z0: complex, z1: complex, side: int):
         fm = secular_many(system, z0 + (z1 - z0) * tm)
         t = np.insert(t, idx + 1, tm)
         f = np.insert(f, idx + 1, fm)
+
+
+def _phase_steps(f: np.ndarray) -> np.ndarray:
+    """Phase increments ``arg(f[j+1] / f[j])`` in (-pi, pi].
+
+    Taken on f/|f|, so neither |f| ~ 1e200 nor ~1e-200 over- or underflows
+    the product of neighbors.
+    """
+    u = f / np.abs(f)
+    return np.angle(u[1:] * np.conj(u[:-1]))
 
 
 def _winding(system: BondSystem, box: SearchBox) -> tuple[int, float]:
@@ -170,9 +180,9 @@ def _loop_winding(sides) -> tuple[int, float]:
     integer to within 1e-3.
     """
     f = np.concatenate(sides)
-    # duplicated corner points contribute zero-length (zero-phase) segments
-    inc = np.angle(f[1:] * np.conj(f[:-1]))
-    total = (inc.sum() + np.angle(f[0] * np.conj(f[-1]))) / (2.0 * np.pi)
+    # duplicated corner points contribute zero-length (zero-phase) segments;
+    # appending f[0] closes the loop
+    total = _phase_steps(np.append(f, f[0])).sum() / (2.0 * np.pi)
     count = int(round(total))
     if abs(total - count) > 1e-3 or count < 0:
         raise SolverError(f"winding sum {total} is not a nonnegative integer")

@@ -56,6 +56,16 @@ class TestResonances:
         assert header.startswith("re_k_per_m")
         assert body == []
 
+    def test_long_edge_resolves(self, capsys, tmp_path):
+        # Neumann eigenvalues n c / 60 m: 0.01-0.09 GHz holds n = 3..18
+        path = tmp_path / "long.graph"
+        path.write_text("[edges]\n1 1 2 30.0\n")
+        code, out, _ = run(capsys, "resonances", "--graph", str(path),
+                           "--fmin-ghz", "0.01", "--fmax-ghz", "0.09")
+        _, body = rows(out)
+        assert code == 0
+        assert len(body) == 16
+
     def test_out_file_is_deterministic(self, capsys, tmp_path):
         argv = ["resonances", "--fixture", "nW1", "--fmax-ghz", "1.0"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -88,6 +88,16 @@ class TestBondSystem:
         full = np.block([[s.sigma, s.lead_in], [s.lead_out, s.lead_reflect]])
         assert np.allclose(full @ full.T, np.eye(full.shape[0]), atol=1e-12)
 
+    def test_vertex_form_follows_the_channel_map(self):
+        g = REFERENCE_GRAPHS[-1]  # a self-loop and two leads on vertex 2
+        s = build_bond_system(g)
+        vertices = [1, 2]  # channel-map order: first bond start first
+        assert [[vertices[i] for i in e] for e in s.ends] == [[e.a, e.b] for e in g.edges]
+        assert [vertices[i] for i in s.anchors] == [l.anchor for l in g.leads]
+        # vertex 1: two bond ends and a lead; vertex 2: four and two leads
+        assert np.array_equal(s.weights, [2.0 / 3.0, 2.0 / 6.0])
+        assert np.array_equal(s.h_terms[0], [(1 - 2) / 3, (2 - 4) / 6])
+
     def test_rejects_invalid_graph(self):
         from graphres import Edge, GraphError
 
@@ -226,6 +236,138 @@ class TestAgainstReference:
         ks = np.concatenate([band_ks(40), band_ks(40) - 0.3j])
         want = np.array([_reference_smatrix(s, k) for k in ks])
         assert np.max(np.abs(smatrix_many(s, ks) - want)) < 1e-12
+
+
+def _bond_secular(system, k):
+    """``det(I - e^{ikL} Sigma)`` on the 2N x 2N bond matrix."""
+    phases = np.exp(1j * k * system.lengths)
+    return np.linalg.det(np.eye(system.n_bonds) - phases[:, None] * system.sigma)
+
+
+def _bond_smatrix(system, k):
+    """``rho_LL + rho_LB M^-1 e^{ikL} rho_BL`` in the bond matrix's own orientation."""
+    phases = np.exp(1j * k * system.lengths)
+    mat = np.eye(system.n_bonds) - phases[:, None] * system.sigma
+    return system.lead_reflect + system.lead_out @ np.linalg.solve(
+        mat, phases[:, None] * system.lead_in)
+
+
+VERTEX_GRAPHS = {
+    **dict(zip([*FIXTURE_NAMES, "self-loop"], REFERENCE_GRAPHS)),
+    "multi-edge": MetricGraph(
+        (1, 2, 3),
+        (Edge(1, 1, 2, 0.3), Edge(2, 1, 2, 0.45), Edge(3, 2, 3, 0.2), Edge(4, 2, 3, 0.27)),
+        (Lead(1, 1), Lead(2, 3)),
+    ),
+    "pendant": MetricGraph(
+        (1, 2, 3, 4),
+        (Edge(1, 1, 2, 0.31), Edge(2, 2, 3, 0.22), Edge(3, 3, 1, 0.17), Edge(4, 3, 4, 0.4)),
+        (Lead(1, 1), Lead(2, 2)),
+    ),
+    "leads-only-vertex": MetricGraph(
+        (1, 2, 3),
+        (Edge(1, 1, 2, 0.4), Edge(2, 1, 2, 0.25)),
+        (Lead(1, 1), Lead(2, 3), Lead(3, 3)),
+    ),
+    "triangle": MetricGraph(
+        (1, 2, 3), (Edge(1, 1, 2, 0.3), Edge(2, 2, 3, 0.2), Edge(3, 3, 1, 0.5))
+    ),
+    "one-lead-interval": interval(1.0, leads=1),
+}
+
+
+def _dirichlet_band(system):
+    """k = n pi / l_e + delta, delta = 1e-3 .. 1e-12: the bond-matrix points."""
+    ell = system.lengths[:system.n_edges]
+    return np.array([n * np.pi / l + d for l in ell for n in (1, 5, 40)
+                     for d in 10.0 ** -np.arange(3, 13)])
+
+
+def _assert_reduction(system, ks, oracle_smatrix=_reference_smatrix):
+    """The vertex form against the bond-matrix oracles at the points ``ks``.
+
+    The determinant is compared relative to max(|det M|, 1): at a real-axis
+    eigenvalue of a compact graph both forms keep only absolute accuracy.
+    S is compared to 1e-12 absolute, relative to |S| where |S| > 1 (deep in
+    the lower half-plane S grows like e^{|Im k| l}).
+    """
+    got = secular_many(system, ks)
+    want = np.array([_bond_secular(system, k) for k in ks])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+    if system.n_leads:
+        got = smatrix_many(system, ks)
+        want = np.array([oracle_smatrix(system, k) for k in ks])
+        size = np.maximum(np.abs(want).max(axis=(1, 2)), 1.0)
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * size)
+
+
+@pytest.mark.parametrize("name", list(VERTEX_GRAPHS))
+class TestVertexReduction:
+    """``det M = prod_e s_e det H`` and ``S = -I + Q^T H^-1 W Q`` match M(k)."""
+
+    def test_random_lower_half_plane(self, name):
+        rng = np.random.default_rng(7)
+        ks = rng.uniform(1.0, 400.0, 200) - 1j * rng.uniform(0.0, 8.0, 200)
+        _assert_reduction(build_bond_system(VERTEX_GRAPHS[name]), ks)
+
+    def test_real_axis(self, name):
+        ks = np.linspace(0.5, 400.0, 801)
+        _assert_reduction(build_bond_system(VERTEX_GRAPHS[name]), ks)
+
+    def test_dirichlet_band_uses_the_bond_matrix(self, name):
+        # several of these graphs have embedded eigenvalues at common
+        # Dirichlet points, where S is a removable singularity and the two
+        # bond orientations disagree; the bond matrix's own orientation is
+        # the oracle here
+        system = build_bond_system(VERTEX_GRAPHS[name])
+        _assert_reduction(system, _dirichlet_band(system), _bond_smatrix)
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected 2-5-vertex graphs; self-loops, parallel edges and 0-4 leads."""
+    n = draw(st.integers(2, 5))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4))
+    edges = tuple(
+        Edge(i + 1, a, b, draw(st.floats(0.05, 1.0))) for i, (a, b) in enumerate(pairs)
+    )
+    anchors = draw(st.lists(st.integers(1, n), max_size=4))
+    leads = tuple(Lead(i + 1, v) for i, v in enumerate(anchors))
+    return MetricGraph(tuple(range(1, n + 1)), edges, leads)
+
+
+# off the real axis: there a random graph may have an embedded eigenvalue,
+# where S is a removable singularity that neither form resolves
+@given(small_graphs(), st.floats(1.0, 100.0), st.floats(-4.0, -0.05))
+@settings(max_examples=60, deadline=None)
+def test_vertex_reduction_on_random_graphs(graph, re, im):
+    _assert_reduction(build_bond_system(graph), np.array([complex(re, im)]))
+
+
+class TestBatching:
+    def test_batches_equal_single_points_bitwise(self, monkeypatch):
+        import graphres.scattering
+
+        system = build_bond_system(fixture("nW2"))
+        rng = np.random.default_rng(3)
+        ks = np.concatenate([
+            rng.uniform(1.0, 80.0, 60) - 1j * rng.uniform(0.0, 6.0, 60),
+            np.linspace(1.0, 80.0, 60),
+            _dirichlet_band(system)[::7],
+        ])
+        rng.shuffle(ks)
+        # 7 vertex matrices, or 1 bond matrix, per batch
+        monkeypatch.setattr(graphres.scattering, "_BATCH_BYTES",
+                            7 * 16 * system.n_vertices ** 2)
+        assert graphres.scattering._batch_size(system.n_vertices) == 7
+        assert graphres.scattering._batch_size(system.n_bonds) == 1
+        batched = secular_many(system, ks)
+        single = np.array([secular_many(system, [k])[0] for k in ks])
+        assert np.array_equal(batched, single)
+        batched = smatrix_many(system, ks)
+        single = np.array([smatrix_many(system, [k])[0] for k in ks])
+        assert np.array_equal(batched, single)
 
 
 class TestExternalSMatrix:

@@ -81,6 +81,12 @@ class TestCounting:
                 box = SearchBox.from_band(0.3e9, 2.2e9, depth=depth)
                 assert count_zeros(systems[name], box) == expected
 
+    def test_long_edge_phase_steps_do_not_overflow(self):
+        # |secular| reaches ~e^480 at Im k = -8 on a 30 m edge, beyond the
+        # square root of the largest double; zeros n pi / 30 with n = 1..19
+        system = build_bond_system(interval(30.0))
+        assert count_zeros(system, SearchBox(0.05, 2.0, -8.0, 0.0)) == 19
+
     @given(st.floats(0.5, 2.0))
     @settings(max_examples=15, deadline=None)
     def test_interval_count_matches_closed_form(self, length):
