@@ -27,9 +27,16 @@ lemma and the Woodbury identity give
     det M(k) = prod_e s_e * det H(k),
     S(k) = -I_M + Q^T H(k)^-1 W Q,
 
-with Q the V x M lead-anchor incidence.  The product cancels with an error
-of order eps/|s_e|^2, so a point with some ``|s_e| < 1e-2`` (a real k within
-about 0.005/l_e of a Dirichlet point n pi/l_e) is evaluated on M(k) itself.
+with Q the V x M lead-anchor incidence.  Two kinds of point are evaluated on
+M(k) itself.  The product cancels with an error of order eps/|s_e|^2, so a
+point with some ``|s_e| < 1e-2`` (a real k within about 0.005/l_e of a
+Dirichlet point n pi/l_e) is one.  Deep in the lower half-plane the terms of
+H cancel along chains of edges: a balanced vertex joined to a closed one
+gives a block determinant of order 1/(s_1 s_2) out of terms of order 1/s_1,
+so the relative error grows like a power of ``|z_e| = e^{-Im k l_e}``.  A
+point with some ``-Im k l_e > 1.5`` is the other kind; short of that, on
+random connected graphs of up to 40 vertices and 78 edges, the vertex form
+stays within 1e-13 of M(k) relative.
 """
 
 from __future__ import annotations
@@ -44,8 +51,10 @@ from .graph import MetricGraph
 
 # |e^{-Im k * L}| beyond e^700 overflows double precision
 _EXP_ARG_LIMIT = 700.0
-# below this min_e |1 - e^{2ik l_e}| the vertex form loses digits
+# the vertex form loses digits below this min_e |1 - e^{2ik l_e}| and above
+# this max_e (-Im k) l_e = log max_e |e^{ik l_e}|
 _MIN_EDGE_GAP = 1e-2
+_MAX_EDGE_DEPTH = 1.5
 # complex matrices held per batch; LAPACK works per matrix, so the batch
 # size never changes a value
 _BATCH_BYTES = 64 * 2 ** 20
@@ -60,7 +69,6 @@ class BondSystem:
     lead_in: np.ndarray       # (2N, M) lead -> bond
     lead_out: np.ndarray      # (M, 2N) bond -> lead
     lead_reflect: np.ndarray  # (M, M) lead -> lead
-    ends: np.ndarray          # (N, 2) vertex indices of each edge's ends
     weights: np.ndarray       # (V,) diagonal of W, 2/d_v
     anchors: np.ndarray       # (M,) vertex index of each lead (Q)
     # H = diag(h0) - (terms grouped by flat position in H): h0, then per
@@ -122,16 +130,16 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
     # leaves vertex index[starts[c]]
     index = {v: i for i, v in enumerate(channels)}
     at = np.array([index[v] for v in starts], dtype=np.intp)
-    ends = at[:n].reshape(2, N).T.copy()
+    ends = at[:n].reshape(2, N).T
     degree = np.array([len(out) for out in channels.values()])
     weights = 2.0 / degree
     anchors = at[n:]
     h_terms = _vertex_terms(ends, degree)
-    for a in (lengths, sigma, lead_in, lead_out, lead_reflect, ends, weights,
-              anchors, *h_terms):
+    for a in (lengths, sigma, lead_in, lead_out, lead_reflect, weights, anchors,
+              *h_terms):
         a.setflags(write=False)
-    return BondSystem(lengths, sigma, lead_in, lead_out, lead_reflect,
-                      ends, weights, anchors, h_terms)
+    return BondSystem(lengths, sigma, lead_in, lead_out, lead_reflect, weights,
+                      anchors, h_terms)
 
 
 def _vertex_terms(ends: np.ndarray, degree: np.ndarray):
@@ -186,23 +194,24 @@ def _bond_matrices(system: BondSystem, ks):
 def _vertex_matrices(system: BondSystem, ks: np.ndarray):
     """Yield ``(rows, prod_e s_e, H(k))`` for each batch of ``ks``.
 
-    ``rows`` selects the points of ``ks`` that the vertex form serves: the
-    batch's slice, or an index array once some ``|s_e| < _MIN_EDGE_GAP``.
-    Those points are dropped before any division, for the bond matrix.
+    ``rows`` indexes the points of ``ks`` that the vertex form serves.  A
+    point with some ``-Im k l_e > _MAX_EDGE_DEPTH`` is dropped before its
+    phases are taken, and one with some ``|s_e| < _MIN_EDGE_GAP`` before any
+    division; both are left for the bond matrix.
     """
     V = system.n_vertices
     ell = system.lengths[:system.n_edges]
     h0, column, first, flat, row_weight = system.h_terms
     step = _batch_size(V)
-    for lo in range(0, ks.size, step):
-        z = np.exp(1j * ks[lo:lo + step, None] * ell)
+    shallow = np.flatnonzero(-ks.imag * ell.max(initial=0.0) <= _MAX_EDGE_DEPTH)
+    for lo in range(0, shallow.size, step):
+        rows = shallow[lo:lo + step]
+        z = np.exp(1j * ks[rows, None] * ell)
         s = 1.0 - z * z
-        rows = slice(lo, lo + z.shape[0])
-        close = np.abs(s) < _MIN_EDGE_GAP
-        if close.any():
-            far = ~close.any(axis=1)
-            rows = lo + np.flatnonzero(far)
-            z, s = z[far], s[far]
+        near = np.abs(s) < _MIN_EDGE_GAP
+        if near.any():
+            far = ~near.any(axis=1)
+            rows, z, s = rows[far], z[far], s[far]
         inv = 1.0 / s
         coef = np.concatenate([z * inv, -inv], axis=1)
         H = np.zeros((z.shape[0], V * V), dtype=complex)
@@ -268,7 +277,9 @@ def smatrix_many(system: BondSystem, ks) -> np.ndarray:
     wq[system.anchors, leads] = system.weights[system.anchors]
 
     def vertex(scale, H):
-        S = np.linalg.solve(H, wq)[:, system.anchors, :]
+        # a stacked right-hand side: numpy < 2 reads a 2-D one as vectors
+        rhs = np.broadcast_to(wq, (H.shape[0], *wq.shape))
+        S = np.linalg.solve(H, rhs)[:, system.anchors, :]
         S[:, leads, leads] -= 1.0
         return S
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphres import (
@@ -92,7 +92,12 @@ class TestBondSystem:
         g = REFERENCE_GRAPHS[-1]  # a self-loop and two leads on vertex 2
         s = build_bond_system(g)
         vertices = [1, 2]  # channel-map order: first bond start first
-        assert [[vertices[i] for i in e] for e in s.ends] == [[e.a, e.b] for e in g.edges]
+        _, column, first, flat, _ = s.h_terms
+        cells = flat[np.searchsorted(first, np.arange(column.size), side="right") - 1]
+        for c, e in enumerate(g.edges):  # edge c's z/s terms sit at (a, b) and (b, a)
+            got = sorted(tuple(vertices[i] for i in divmod(p, len(vertices)))
+                         for p in cells[column == c])
+            assert got == sorted([(e.a, e.b), (e.b, e.a)])
         assert [vertices[i] for i in s.anchors] == [l.anchor for l in g.leads]
         # vertex 1: two bond ends and a lead; vertex 2: four and two leads
         assert np.array_equal(s.weights, [2.0 / 3.0, 2.0 / 6.0])
@@ -340,6 +345,14 @@ def small_graphs(draw):
 # off the real axis: there a random graph may have an embedded eigenvalue,
 # where S is a removable singularity that neither form resolves
 @given(small_graphs(), st.floats(1.0, 100.0), st.floats(-4.0, -0.05))
+@example(  # a path to a pendant vertex: |S| ~ 3e7, and H alone loses 4 digits
+    MetricGraph(
+        (1, 2, 3, 4, 5),
+        (Edge(1, 1, 2, 1.0), Edge(2, 1, 3, 1.0), Edge(3, 1, 4, 1.0), Edge(4, 2, 5, 1.0)),
+        (Lead(1, 5),),
+    ),
+    1.0, -4.0,
+)
 @settings(max_examples=60, deadline=None)
 def test_vertex_reduction_on_random_graphs(graph, re, im):
     _assert_reduction(build_bond_system(graph), np.array([complex(re, im)]))
@@ -352,7 +365,8 @@ class TestBatching:
         system = build_bond_system(fixture("nW2"))
         rng = np.random.default_rng(3)
         ks = np.concatenate([
-            rng.uniform(1.0, 80.0, 60) - 1j * rng.uniform(0.0, 6.0, 60),
+            # down to Im k = -9, past the vertex form's depth limit
+            rng.uniform(1.0, 80.0, 60) - 1j * rng.uniform(0.0, 9.0, 60),
             np.linspace(1.0, 80.0, 60),
             _dirichlet_band(system)[::7],
         ])
