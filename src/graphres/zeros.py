@@ -3,10 +3,12 @@
 The secular determinant is entire in k, so the number of zeros inside a
 rectangle equals the winding number of its boundary image around 0.  Boxes
 are subdivided until each contains a single zero, which Newton iteration on
-the logarithmic derivative then pins to ~1e-12.
+the logarithmic derivative then pins to ~1e-12.  The two halves of a box
+share their sampled split line and keep the parent sides they inherit, so
+each samples only its two sides along the split axis.
 
-The counting function N(R) locates no zeros: it cuts one strip into
-sub-strips that share their sampled vertical cuts and sums their windings.
+The counting function N(R) locates no zeros: it cuts one strip the same way,
+at every R, and sums the windings of the sub-strips.
 """
 
 from __future__ import annotations
@@ -159,17 +161,38 @@ def _phase_steps(f: np.ndarray) -> np.ndarray:
     return np.angle(u[1:] * np.conj(u[:-1]))
 
 
-def _winding(system: BondSystem, box: SearchBox) -> tuple[int, float]:
-    """Winding number of the secular image of the box boundary around 0.
-
-    Returns (count, max |secular| on the boundary).  Raises
-    :class:`BoundaryProximityError` when a side cannot be resolved.
-    """
+def _side(system: BondSystem, box: SearchBox, side: int) -> np.ndarray:
+    """Secular samples along one side of the box, run counterclockwise."""
     c = box.corners
-    return _loop_winding([
-        _sample_side(system, c[side], c[(side + 1) % 4], side)[1]
-        for side in range(4)
-    ])
+    return _sample_side(system, c[side], c[(side + 1) % 4], side)[1]
+
+
+def _span(box: SearchBox, axis: int, lo: float, hi: float) -> SearchBox:
+    """The box with its extent along ``axis`` (0 real, 1 imaginary) replaced."""
+    bounds = [box.re_min, box.re_max, box.im_min, box.im_max]
+    bounds[2 * axis: 2 * axis + 2] = lo, hi
+    return SearchBox(*bounds)
+
+
+def _strips(system, box, sides, axis, cuts):
+    """(part, sampled sides) of each part of a box cut across ``axis``.
+
+    ``sides`` are the box's sampled sides (bottom, right, top, left) and
+    ``cuts`` ascending ``(position, samples)`` lines inside it, each sampled
+    as side ``1 + axis`` of the part below and used reversed by the part
+    above.  The end parts keep the box sides they inherit whole, so each
+    part samples only its two sides along ``axis``.
+    """
+    lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
+    lines = [(lo, sides[(3 + axis) % 4][::-1]), *cuts, (hi, sides[1 + axis])]
+    parts = []
+    for (a, below), (b, above) in zip(lines, lines[1:]):
+        part = _span(box, axis, a, b)
+        s = [None] * 4
+        s[axis], s[axis + 2] = _side(system, part, axis), _side(system, part, axis + 2)
+        s[1 + axis], s[(3 + axis) % 4] = above, below[::-1]
+        parts.append((part, s))
+    return parts
 
 
 def _loop_winding(sides) -> tuple[int, float]:
@@ -195,14 +218,13 @@ def count_zeros(system: BondSystem, box: SearchBox) -> int:
     Sides passing near a zero are nudged outward by 1e-6 of the box span, at
     most five times per search.
     """
-    count, _, _ = _winding_nudged(system, box)
+    count, *_ = _winding_nudged(system, box)
     return count
 
 
-def _winding_nudged(
-    system: BondSystem, box: SearchBox
-) -> tuple[int, float, SearchBox]:
-    """Winding count with the nudge policy; returns the box actually used."""
+def _winding_nudged(system: BondSystem, box: SearchBox):
+    """Winding count with the nudge policy: (count, max |secular| on the
+    boundary, the box actually used, its sampled sides)."""
     # compact graphs have a purely real spectrum: lift a top edge that runs
     # exactly along the real axis before it collides with every eigenvalue
     if system.n_leads == 0 and box.im_max == 0.0:
@@ -210,8 +232,8 @@ def _winding_nudged(
                         _NUDGE * (box.im_max - box.im_min))
     for _ in range(_MAX_NUDGES):
         try:
-            count, scale = _winding(system, box)
-            return count, scale, box
+            sides = [_side(system, box, side) for side in range(4)]
+            return (*_loop_winding(sides), box, sides)
         except BoundaryProximityError as err:
             box = _nudge(box, err.side)
     raise SolverError(f"boundary still near a zero after {_MAX_NUDGES} nudges")
@@ -236,10 +258,10 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
     winding count; Newton from the leaf center does the rest.  The final list
     is checked against the root winding total.
     """
-    total, scale, box = _winding_nudged(system, box)
+    total, scale, box, sides = _winding_nudged(system, box)
     found: list[complex] = []
     if total:
-        _subdivide(system, box, total, scale, 0, found)
+        _subdivide(system, box, sides, total, scale, 0, found)
     found.sort(key=lambda z: (z.real, z.imag))
     kept: list[complex] = []
     for z in found:
@@ -257,7 +279,7 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
     return ZeroSet(resonances, total, scale)
 
 
-def _subdivide(system, box, count, scale, depth, out):
+def _subdivide(system, box, sides, count, scale, depth, out):
     if count == 0:
         return
     if depth > _MAX_DEPTH:
@@ -275,21 +297,16 @@ def _subdivide(system, box, count, scale, depth, out):
     lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
     for frac in _SPLIT_FRACTIONS:
         mid = lo + (hi - lo) * frac
-        if axis == 0:
-            a = SearchBox(box.re_min, mid, box.im_min, box.im_max)
-            b = SearchBox(mid, box.re_max, box.im_min, box.im_max)
-        else:
-            a = SearchBox(box.re_min, box.re_max, box.im_min, mid)
-            b = SearchBox(box.re_min, box.re_max, mid, box.im_max)
         try:
-            ca, _ = _winding(system, a)
-            cb, _ = _winding(system, b)
+            line = _side(system, _span(box, axis, lo, mid), 1 + axis)
+            halves = _strips(system, box, sides, axis, [(mid, line)])
         except BoundaryProximityError:
             continue  # a zero sits near this split line; jitter it
-        if ca + cb != count:
+        counts = [_loop_winding(s)[0] for _, s in halves]
+        if sum(counts) != count:
             continue  # phase slipped right at the line; jitter as well
-        _subdivide(system, a, ca, scale, depth + 1, out)
-        _subdivide(system, b, cb, scale, depth + 1, out)
+        for (half, s), c in zip(halves, counts):
+            _subdivide(system, half, s, c, scale, depth + 1, out)
         return
     raise SolverError(f"no clean split line found for {box}")
 
@@ -346,47 +363,30 @@ def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
     if R.size == 0 or np.any(R <= 0.0) or np.any(np.diff(R) <= 0.0):
         raise ValueError("R_values must be positive and strictly ascending")
     root = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
-    total, _, root = _winding_nudged(system, root)
-    lo, hi = root.im_min, root.im_max
-    shift = _NUDGE * (root.re_max - root.re_min)
-
-    def cut(x):
-        return _sample_side(system, complex(x, lo), complex(x, hi), 1)[1]
-
-    # at[j]: index of the cut that closes N(R[j]) on the right.  An R left of
+    total, _, root, sides = _winding_nudged(system, root)
+    # at[j]: number of strips left of N(R[j])'s closing cut.  An R left of
     # the previous (possibly shifted) cut shares it; once a shift reaches the
     # root's right edge, the remaining R take the whole strip.
-    xs, cuts, at = [root.re_min], [cut(root.re_min)], []
+    cuts, at = [], []
     for r in R[:-1]:
         x = float(r)
-        if x > xs[-1]:
+        if x > (cuts[-1][0] if cuts else root.re_min):
             for _ in range(_MAX_NUDGES):
                 try:
-                    f = cut(x)
+                    f = _side(system, _span(root, 0, root.re_min, x), 1)
                     break
                 except BoundaryProximityError:
-                    x += shift
+                    x += _NUDGE * (root.re_max - root.re_min)
             else:
                 raise SolverError(
                     f"cut at Re k = {r} still near a zero after {_MAX_NUDGES} nudges"
                 )
             if x >= root.re_max:
                 break
-            xs.append(x)
-            cuts.append(f)
-        at.append(len(xs) - 1)
-    xs.append(root.re_max)
-    cuts.append(cut(root.re_max))
-    at += [len(xs) - 1] * (R.size - len(at))
-    strips = [
-        _loop_winding([
-            _sample_side(system, complex(a, lo), complex(b, lo), 0)[1],
-            cuts[i + 1],
-            _sample_side(system, complex(b, hi), complex(a, hi), 2)[1],
-            cuts[i][::-1],
-        ])[0]
-        for i, (a, b) in enumerate(zip(xs[:-1], xs[1:]))
-    ]
+            cuts.append((x, f))
+        at.append(len(cuts))
+    at += [len(cuts) + 1] * (R.size - len(at))
+    strips = [_loop_winding(s)[0] for _, s in _strips(system, root, sides, 0, cuts)]
     counts = np.concatenate([[0], np.cumsum(strips)])[at]
     if counts[-1] != total:
         raise SolverError(

@@ -29,8 +29,8 @@ def overcounted_root(monkeypatch):
     nudged = graphres.zeros._winding_nudged
 
     def one_too_many(system, box):
-        count, scale, used = nudged(system, box)
-        return count + 1, scale, used
+        count, *rest = nudged(system, box)
+        return count + 1, *rest
 
     monkeypatch.setattr(graphres.zeros, "_winding_nudged", one_too_many)
 

@@ -1,9 +1,15 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import graphres.zeros as zeros
 from graphres import (
+    FIXTURE_NAMES,
     STRIP_DEPTH,
     Edge,
     Lead,
@@ -17,8 +23,11 @@ from graphres import (
     fixture,
     interval,
 )
+from graphres.weyl import FIT_GRID
 
 from conftest import EXPECTED_COUNTS
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +166,47 @@ class TestFindZeros:
             right = SearchBox(mid, band_box.re_max, band_box.im_min, band_box.im_max)
             assert count_zeros(s, left) + count_zeros(s, right) == parent
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_wide_band_zeros_match_the_reference(self, systems, name):
+        ref = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        lo, hi = ref["wide_band_ghz"]
+        box = SearchBox.from_band(lo * 1e9, hi * 1e9, depth=ref["strip_depth"])
+        ks = np.array([r.k for r in find_zeros(systems[name], box)])
+        expected = np.array([complex(*k) for k in ref["wide_band_zeros"][name]])
+        assert ks.shape == expected.shape
+        assert np.max(np.abs(ks - expected)) < 1e-10
+
+
+@pytest.fixture()
+def sampled_segments(monkeypatch):
+    """How often each side segment {z0, z1} is sampled, in either direction."""
+    seen = Counter()
+    sample = zeros._sample_side
+
+    def spy(system, z0, z1, side):
+        seen[frozenset((z0, z1))] += 1
+        return sample(system, z0, z1, side)
+
+    monkeypatch.setattr(zeros, "_sample_side", spy)
+    return seen
+
+
+class TestSamplingOnce:
+    def test_subdivision_reuses_the_root_sides_and_split_line(
+        self, systems, band_box, sampled_segments
+    ):
+        find_zeros(systems["W1"], band_box)
+        c = band_box.corners
+        for side in range(4):
+            assert sampled_segments[frozenset((c[side], c[(side + 1) % 4]))] == 1
+        mid = band_box.re_min + (band_box.re_max - band_box.re_min) * 0.5
+        split = frozenset((complex(mid, band_box.im_min), complex(mid, band_box.im_max)))
+        assert sampled_segments[split] == 1
+
+    def test_counting_samples_no_line_twice(self, systems, sampled_segments):
+        counting_function(systems["W1"], FIT_GRID)
+        assert max(sampled_segments.values()) == 1
+
 
 class TestCountingFunction:
     def test_neumann_interval_table(self, neumann):
@@ -240,3 +290,28 @@ class TestStripCounterProperties:
         root = SearchBox(1e-9, r_max, -STRIP_DEPTH, 0.0)
         assert counts[-1] == count_zeros(system, root)
         assert counts == sorted(counts)
+
+
+class TestStripHelperProperties:
+    @given(small_open_graphs(), st.floats(0.5, 30.0), st.floats(0.5, 10.0),
+           st.floats(-8.0, -0.5), st.floats(-0.4, 0.5), st.integers(0, 1),
+           st.floats(0.1, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_halves_count_like_fresh_boxes(self, graph, re_min, width, im_min,
+                                           im_max, axis, frac):
+        system = build_bond_system(graph)
+        box = SearchBox(re_min, re_min + width, im_min, im_max)
+        lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
+        mid = lo + (hi - lo) * frac
+        try:
+            sides = [zeros._side(system, box, side) for side in range(4)]
+            line = zeros._side(system, zeros._span(box, axis, lo, mid), 1 + axis)
+            halves = zeros._strips(system, box, sides, axis, [(mid, line)])
+        except zeros.BoundaryProximityError:
+            assume(False)
+        assert [half for half, _ in halves] == [
+            zeros._span(box, axis, lo, mid), zeros._span(box, axis, mid, hi)
+        ]
+        counts = [zeros._loop_winding(s)[0] for _, s in halves]
+        assert counts == [count_zeros(system, half) for half, _ in halves]
+        assert sum(counts) == zeros._loop_winding(sides)[0]
