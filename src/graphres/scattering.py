@@ -55,6 +55,10 @@ _EXP_ARG_LIMIT = 700.0
 # this max_e (-Im k) l_e = log max_e |e^{ik l_e}|
 _MIN_EDGE_GAP = 1e-2
 _MAX_EDGE_DEPTH = 1.5
+# log_derivative factors H only from this bond count up: below it, solving
+# the bond matrix costs less than the vertex form's extra array steps (the
+# two cross between 28 and 32 bonds, one point per call)
+_MIN_NEWTON_BONDS = 32
 # complex matrices held per batch; LAPACK works per matrix, so the batch
 # size never changes a value
 _BATCH_BYTES = 64 * 2 ** 20
@@ -176,13 +180,12 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_BYTES // (16 * n * n))
 
 
-def _bond_matrices(system: BondSystem, ks):
+def _bond_matrices(system: BondSystem, ks: np.ndarray):
     """Yield ``(e^{ikL}, M(k) = I - e^{ikL} Sigma)`` for each batch of ``ks``.
 
     e^{ikL} is diagonal, so it scales the rows of Sigma; the product is
     turned into M in place, so a batch holds a single set of matrices.
     """
-    ks = _wavenumbers(system, ks)
     eye = np.eye(system.n_bonds)
     step = _batch_size(system.n_bonds)
     for lo in range(0, ks.size, step):
@@ -191,17 +194,18 @@ def _bond_matrices(system: BondSystem, ks):
         yield phases, np.subtract(eye, mats, out=mats)
 
 
-def _vertex_matrices(system: BondSystem, ks: np.ndarray):
-    """Yield ``(rows, prod_e s_e, H(k))`` for each batch of ``ks``.
+def _vertex_matrices(system: BondSystem, ks: np.ndarray, derivative: bool = False):
+    """Yield ``(rows, z, s, H(k))`` for each batch of ``ks``.
 
     ``rows`` indexes the points of ``ks`` that the vertex form serves.  A
     point with some ``-Im k l_e > _MAX_EDGE_DEPTH`` is dropped before its
     phases are taken, and one with some ``|s_e| < _MIN_EDGE_GAP`` before any
-    division; both are left for the bond matrix.
+    division; both are left for the bond matrix.  With ``derivative``,
+    ``H(k)`` is stacked on ``H'(k)``, which takes ``(z/s)' = i l z (1 + z^2)
+    / s^2`` and ``(-1/s)' = -2i l z^2 / s^2`` through the same terms.
     """
     V = system.n_vertices
     ell = system.lengths[:system.n_edges]
-    h0, column, first, flat, row_weight = system.h_terms
     step = _batch_size(V)
     shallow = np.flatnonzero(-ks.imag * ell.max(initial=0.0) <= _MAX_EDGE_DEPTH)
     for lo in range(0, shallow.size, step):
@@ -211,30 +215,52 @@ def _vertex_matrices(system: BondSystem, ks: np.ndarray):
         near = np.abs(s) < _MIN_EDGE_GAP
         if near.any():
             far = ~near.any(axis=1)
+            if not far.any():
+                continue
             rows, z, s = rows[far], z[far], s[far]
         inv = 1.0 / s
         coef = np.concatenate([z * inv, -inv], axis=1)
-        H = np.zeros((z.shape[0], V * V), dtype=complex)
-        if column.size:  # a graph of leads only has no edge terms
-            terms = np.add.reduceat(coef.take(column, axis=1), first, axis=1)
-            H[:, flat] = -row_weight * terms
-        H[:, ::V + 1] += h0
-        yield rows, s.prod(axis=1), H.reshape(-1, V, V)
+        if derivative:
+            q = 1j * ell * z * inv * inv
+            dcoef = np.concatenate([q * (1.0 + z * z), -2.0 * q * z], axis=1)
+            coef = np.concatenate([coef, dcoef])
+        H = _edge_terms(system, coef)
+        H[:rows.size, ::V + 1] += system.h_terms[0]
+        yield rows, z, s, H.reshape(-1, V, V)
+
+
+def _edge_terms(system: BondSystem, coef: np.ndarray) -> np.ndarray:
+    """``-W`` times the edge coefficients summed per position of H, flattened.
+
+    ``coef`` holds per point the z/s column of each edge, then its -1/s
+    column, or their derivatives.
+    """
+    V = system.n_vertices
+    _, column, first, flat, row_weight = system.h_terms
+    out = np.zeros((coef.shape[0], V * V), dtype=complex)
+    if column.size:  # a graph of leads only has no edge terms
+        terms = np.add.reduceat(coef.take(column, axis=1), first, axis=1)
+        out[:, flat] = -row_weight * terms
+    return out
 
 
 def _evaluate(system: BondSystem, ks, shape, vertex, bond) -> np.ndarray:
     """``vertex(prod s, H)`` at each point, or ``bond(e^{ikL}, M)`` where it must."""
     ks = _wavenumbers(system, ks)
+    parts = [(rows, vertex(s.prod(axis=1), H))
+             for rows, _, s, H in _vertex_matrices(system, ks)]
+    if sum(rows.size for rows, _ in parts) < ks.size:
+        rest = np.ones(ks.size, dtype=bool)
+        for rows, _ in parts:
+            rest[rows] = False
+        rest = np.flatnonzero(rest)
+        values = [bond(*batch) for batch in _bond_matrices(system, ks[rest])]
+        parts.append((rest, values[0] if len(values) == 1 else np.concatenate(values)))
+    if len(parts) == 1:
+        return parts[0][1]  # one batch on one path holds every point, in order
     out = np.empty((ks.size, *shape), dtype=complex)
-    served = np.zeros(ks.size, dtype=bool)
-    for rows, scale, H in _vertex_matrices(system, ks):
-        out[rows] = vertex(scale, H)
-        served[rows] = True
-    if not served.all():
-        rest = np.flatnonzero(~served)
-        out[rest] = np.concatenate([
-            bond(phases, mats) for phases, mats in _bond_matrices(system, ks[rest])
-        ])
+    for rows, values in parts:
+        out[rows] = values
     return out
 
 
@@ -253,11 +279,19 @@ def secular(system: BondSystem, k: complex) -> complex:
 
 
 def log_derivative(system: BondSystem, k: complex) -> complex:
-    """``secular'/secular = tr(M^-1 M')`` with ``M' = -i L e^{ikL} Sigma``.
+    """``secular'/secular``, finite and stable near zeros.
 
-    Finite and stable near zeros, where the secular function itself vanishes.
+    Where the vertex form serves k, on a graph of at least
+    ``_MIN_NEWTON_BONDS`` bonds, it is ``sum_e s_e'/s_e + tr(H^-1 H')`` with
+    ``s_e' = -2i l_e z_e^2``; elsewhere ``tr(M^-1 M')`` with
+    ``M' = -i L e^{ikL} Sigma``.
     """
-    ((phases, mats),) = _bond_matrices(system, [k])
+    ks = _wavenumbers(system, [k])
+    if system.n_bonds >= _MIN_NEWTON_BONDS:
+        for _, z, s, (H, Hp) in _vertex_matrices(system, ks, derivative=True):
+            ds = -2j * system.lengths[:system.n_edges] * z[0] * z[0]
+            return complex(ds @ (1.0 / s[0]) + np.linalg.solve(H, Hp).trace())
+    ((phases, mats),) = _bond_matrices(system, ks)
     Mp = -1j * (system.lengths * phases[0])[:, None] * system.sigma
     return complex(np.trace(np.linalg.solve(mats[0], Mp)))
 

@@ -9,6 +9,12 @@ each samples only its two sides along the split axis.
 
 The counting function N(R) locates no zeros: it cuts one strip the same way,
 at every R, and sums the windings of the sub-strips.
+
+The sides of a cut are sampled in one batched call: the four sides of a
+root box, a split line with the new sides of both halves, all cuts of the
+counting strip, and then all of its strips' sides.  Each refinement round of
+a batch is one more secular call, so the number of calls, not of points,
+falls; the values are those of sampling each side alone.
 """
 
 from __future__ import annotations
@@ -121,34 +127,67 @@ class ZeroSet:
         return iter(self.resonances)
 
 
-def _sample_side(system: BondSystem, z0: complex, z1: complex, side: int):
-    """Adaptively sample one side until phase steps stay below pi/2."""
-    span = abs(z1 - z0)
+def _sample(system: BondSystem, segments):
+    """Sample ``(z0, z1, side)`` segments until phase steps stay below pi/2.
+
+    Returns each segment's ``(t, f)``, or the :class:`BoundaryProximityError`
+    it hit.  The first grids of all segments go into one secular call, and
+    each refinement round puts the midpoints of every segment still refining
+    into one more; the values are those of sampling each segment alone.
+    """
     # first guess from the generic phase speed ~ 2 * total length
     speed = 2.0 * float(np.sum(system.lengths[: system.n_edges]))
-    n0 = int(min(4097, max(17, 8.0 * span * speed / np.pi)))
-    t = np.linspace(0.0, 1.0, n0)
-    f = secular_many(system, z0 + (z1 - z0) * t)
-    while True:
-        if np.any(np.abs(f) < _ABS_FLOOR):
-            raise BoundaryProximityError(side, "secular vanishes on the boundary")
-        inc = _phase_steps(f)
-        bad = np.abs(inc) >= _PHASE_CAP
-        if not bad.any():
-            return t, f
-        idx = np.nonzero(bad)[0]
-        if np.any(t[idx + 1] - t[idx] < _MIN_SEGMENT):
-            raise BoundaryProximityError(
-                side, "phase refinement collapsed: a zero sits on the boundary"
-            )
-        if t.size + idx.size > _MAX_SIDE_SAMPLES:
-            raise BoundaryProximityError(
-                side, f"side refinement exceeded {_MAX_SIDE_SAMPLES} samples"
-            )
-        tm = 0.5 * (t[idx] + t[idx + 1])
-        fm = secular_many(system, z0 + (z1 - z0) * tm)
-        t = np.insert(t, idx + 1, tm)
-        f = np.insert(f, idx + 1, fm)
+    n0 = [int(min(4097, max(17, 8.0 * abs(z1 - z0) * speed / np.pi)))
+          for z0, z1, _ in segments]
+    grids = {n: np.linspace(0.0, 1.0, n) for n in set(n0)}  # shared: never written
+    t = [grids[n] for n in n0]
+    f = _secular_at(system, segments, t)
+    out = [None] * len(segments)
+    active = range(len(segments))
+    while active:
+        refine, mids = [], []
+        for i in active:
+            side = segments[i][2]
+            if np.any(np.abs(f[i]) < _ABS_FLOOR):
+                out[i] = BoundaryProximityError(side, "secular vanishes on the boundary")
+                continue
+            idx = np.nonzero(np.abs(_phase_steps(f[i])) >= _PHASE_CAP)[0]
+            if not idx.size:
+                out[i] = t[i], f[i]
+            elif np.any(t[i][idx + 1] - t[i][idx] < _MIN_SEGMENT):
+                out[i] = BoundaryProximityError(
+                    side, "phase refinement collapsed: a zero sits on the boundary"
+                )
+            elif t[i].size + idx.size > _MAX_SIDE_SAMPLES:
+                out[i] = BoundaryProximityError(
+                    side, f"side refinement exceeded {_MAX_SIDE_SAMPLES} samples"
+                )
+            else:
+                refine.append((i, idx))
+                mids.append(0.5 * (t[i][idx] + t[i][idx + 1]))
+        fm = _secular_at(system, [segments[i] for i, _ in refine], mids)
+        for (i, idx), tm, fi in zip(refine, mids, fm):
+            t[i] = np.insert(t[i], idx + 1, tm)
+            f[i] = np.insert(f[i], idx + 1, fi)
+        active = [i for i, _ in refine]
+    return out
+
+
+def _secular_at(system, segments, t):
+    """Secular values at parameters ``t[i]`` along each segment, in one call."""
+    if not segments:
+        return []
+    ks = np.concatenate([z0 + (z1 - z0) * ti for (z0, z1, _), ti in zip(segments, t)])
+    return np.split(secular_many(system, ks), np.cumsum([ti.size for ti in t[:-1]]))
+
+
+def _sides(system: BondSystem, segments) -> list[np.ndarray]:
+    """Secular samples along each segment; raises the first error in order."""
+    out = _sample(system, segments)
+    for result in out:
+        if isinstance(result, BoundaryProximityError):
+            raise result
+    return [f for _, f in out]
 
 
 def _phase_steps(f: np.ndarray) -> np.ndarray:
@@ -161,10 +200,10 @@ def _phase_steps(f: np.ndarray) -> np.ndarray:
     return np.angle(u[1:] * np.conj(u[:-1]))
 
 
-def _side(system: BondSystem, box: SearchBox, side: int) -> np.ndarray:
-    """Secular samples along one side of the box, run counterclockwise."""
+def _segment(box: SearchBox, side: int):
+    """One side of the box as a segment ``(z0, z1, side)``, run counterclockwise."""
     c = box.corners
-    return _sample_side(system, c[side], c[(side + 1) % 4], side)[1]
+    return c[side], c[(side + 1) % 4], side
 
 
 def _span(box: SearchBox, axis: int, lo: float, hi: float) -> SearchBox:
@@ -180,19 +219,26 @@ def _strips(system, box, sides, axis, cuts):
     ``sides`` are the box's sampled sides (bottom, right, top, left) and
     ``cuts`` ascending ``(position, samples)`` lines inside it, each sampled
     as side ``1 + axis`` of the part below and used reversed by the part
-    above.  The end parts keep the box sides they inherit whole, so each
-    part samples only its two sides along ``axis``.
+    above.  A line given without samples is sampled here, in one batch with
+    the parts' sides.  The end parts keep the box sides they inherit whole,
+    so each part samples only its two sides along ``axis``.
     """
     lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
-    lines = [(lo, sides[(3 + axis) % 4][::-1]), *cuts, (hi, sides[1 + axis])]
-    parts = []
-    for (a, below), (b, above) in zip(lines, lines[1:]):
-        part = _span(box, axis, a, b)
+    ends = [lo, *(x for x, _ in cuts), hi]
+    parts = [_span(box, axis, a, b) for a, b in zip(ends, ends[1:])]
+    fresh = [_segment(part, 1 + axis) for part, (_, f) in zip(parts, cuts) if f is None]
+    sampled = iter(_sides(system, fresh + [
+        _segment(part, side) for part in parts for side in (axis, axis + 2)
+    ]))
+    lines = [sides[(3 + axis) % 4][::-1],
+             *(next(sampled) if f is None else f for _, f in cuts), sides[1 + axis]]
+    out = []
+    for part, below, above in zip(parts, lines, lines[1:]):
         s = [None] * 4
-        s[axis], s[axis + 2] = _side(system, part, axis), _side(system, part, axis + 2)
+        s[axis], s[axis + 2] = next(sampled), next(sampled)
         s[1 + axis], s[(3 + axis) % 4] = above, below[::-1]
-        parts.append((part, s))
-    return parts
+        out.append((part, s))
+    return out
 
 
 def _loop_winding(sides) -> tuple[int, float]:
@@ -232,7 +278,7 @@ def _winding_nudged(system: BondSystem, box: SearchBox):
                         _NUDGE * (box.im_max - box.im_min))
     for _ in range(_MAX_NUDGES):
         try:
-            sides = [_side(system, box, side) for side in range(4)]
+            sides = _sides(system, [_segment(box, side) for side in range(4)])
             return (*_loop_winding(sides), box, sides)
         except BoundaryProximityError as err:
             box = _nudge(box, err.side)
@@ -298,8 +344,7 @@ def _subdivide(system, box, sides, count, scale, depth, out):
     for frac in _SPLIT_FRACTIONS:
         mid = lo + (hi - lo) * frac
         try:
-            line = _side(system, _span(box, axis, lo, mid), 1 + axis)
-            halves = _strips(system, box, sides, axis, [(mid, line)])
+            halves = _strips(system, box, sides, axis, [(mid, None)])
         except BoundaryProximityError:
             continue  # a zero sits near this split line; jitter it
         counts = [_loop_winding(s)[0] for _, s in halves]
@@ -364,6 +409,13 @@ def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
         raise ValueError("R_values must be positive and strictly ascending")
     root = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
     total, _, root, sides = _winding_nudged(system, root)
+    # every cut is sampled at its nominal R in one batch; only a cut through
+    # a zero is sampled again, each time 1e-6 of the root span further right
+    def cut(x):
+        return _segment(_span(root, 0, root.re_min, x), 1)
+
+    inside = [float(r) for r in R[:-1] if r > root.re_min]
+    nominal = dict(zip(inside, _sample(system, [cut(x) for x in inside])))
     # at[j]: number of strips left of N(R[j])'s closing cut.  An R left of
     # the previous (possibly shifted) cut shares it; once a shift reaches the
     # root's right edge, the remaining R take the whole strip.
@@ -371,19 +423,19 @@ def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
     for r in R[:-1]:
         x = float(r)
         if x > (cuts[-1][0] if cuts else root.re_min):
-            for _ in range(_MAX_NUDGES):
-                try:
-                    f = _side(system, _span(root, 0, root.re_min, x), 1)
+            result = nominal[x]
+            for _ in range(_MAX_NUDGES - 1):
+                if not isinstance(result, BoundaryProximityError):
                     break
-                except BoundaryProximityError:
-                    x += _NUDGE * (root.re_max - root.re_min)
-            else:
+                x += _NUDGE * (root.re_max - root.re_min)
+                (result,) = _sample(system, [cut(x)])
+            if isinstance(result, BoundaryProximityError):
                 raise SolverError(
                     f"cut at Re k = {r} still near a zero after {_MAX_NUDGES} nudges"
                 )
             if x >= root.re_max:
                 break
-            cuts.append((x, f))
+            cuts.append((x, result[1]))
         at.append(len(cuts))
     at += [len(cuts) + 1] * (R.size - len(at))
     strips = [_loop_winding(s)[0] for _, s in _strips(system, root, sides, 0, cuts)]

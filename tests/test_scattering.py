@@ -20,6 +20,7 @@ from graphres import (
     vertex_matrix,
 )
 
+import graphres.scattering as scattering
 from graphres.scattering import log_derivative
 
 from conftest import BAND_HZ
@@ -326,6 +327,86 @@ class TestVertexReduction:
         # the oracle here
         system = build_bond_system(VERTEX_GRAPHS[name])
         _assert_reduction(system, _dirichlet_band(system), _bond_smatrix)
+
+
+def _bond_log_derivative(system, k):
+    """``tr(M^-1 M')`` on the 2N x 2N bond matrix."""
+    phases = np.exp(1j * k * system.lengths)
+    mat = np.eye(system.n_bonds) - phases[:, None] * system.sigma
+    deriv = -1j * (system.lengths * phases)[:, None] * system.sigma
+    return complex(np.trace(np.linalg.solve(mat, deriv)))
+
+
+def _random_graph(n_edges, seed):
+    """A random spanning tree plus chords, 0.05-0.3 m edges, two leads."""
+    rng = np.random.default_rng(seed)
+    n = round(0.55 * n_edges)
+    pairs = [(int(rng.integers(1, v)), v) for v in range(2, n + 1)]
+    while len(pairs) < n_edges:
+        a, b = rng.choice(np.arange(1, n + 1), 2, replace=False)
+        pairs.append((int(a), int(b)))
+    edges = tuple(Edge(i + 1, a, b, float(rng.uniform(0.05, 0.3)))
+                  for i, (a, b) in enumerate(pairs))
+    return MetricGraph(tuple(range(1, n + 1)), edges, (Lead(1, 1), Lead(2, n)))
+
+
+LOG_DERIVATIVE_GRAPHS = {
+    **dict(zip([*FIXTURE_NAMES, "self-loop"], REFERENCE_GRAPHS)),
+    "random-40": _random_graph(40, 5),
+}
+
+
+@pytest.fixture()
+def bond_points(monkeypatch):
+    """The points each call sends to the bond matrix."""
+    seen = []
+    bond = scattering._bond_matrices
+
+    def spy(system, ks):
+        seen.extend(ks)
+        return bond(system, ks)
+
+    monkeypatch.setattr(scattering, "_bond_matrices", spy)
+    return seen
+
+
+class TestLogDerivativeVertexForm:
+    @pytest.mark.parametrize("name", list(LOG_DERIVATIVE_GRAPHS))
+    def test_vertex_form_matches_the_bond_matrix(self, name, bond_points, monkeypatch):
+        # the small graphs take the vertex form only without the size rule
+        monkeypatch.setattr(scattering, "_MIN_NEWTON_BONDS", 0)
+        system = build_bond_system(LOG_DERIVATIVE_GRAPHS[name])
+        ell = system.lengths[:system.n_edges]
+        rng = np.random.default_rng(11)
+        depth = scattering._MAX_EDGE_DEPTH / ell.max()
+        ks = rng.uniform(1.0, 400.0, 200) - 1j * rng.uniform(0.0, depth, 200)
+        gap = np.abs(1.0 - np.exp(2j * ks[:, None] * ell)).min(axis=1)
+        served = gap >= scattering._MIN_EDGE_GAP
+        ks, gap = ks[served], gap[served]
+        got = np.array([log_derivative(system, k) for k in ks])
+        assert not bond_points
+        want = np.array([_bond_log_derivative(system, k) for k in ks])
+        # H' holds 1/s^2 terms, so near an edge gap the vertex form keeps
+        # about eps/|s|^2 relative accuracy, 2e-12 at the gap itself
+        assert np.all(np.abs(got - want) <= (1e-12 + 1e-15 / gap ** 2) * np.abs(want))
+
+    def test_deep_and_near_dirichlet_points_take_the_bond_path(self, bond_points):
+        system = build_bond_system(LOG_DERIVATIVE_GRAPHS["random-40"])
+        assert system.n_bonds >= scattering._MIN_NEWTON_BONDS
+        ell = system.lengths[:system.n_edges]
+        deep = [complex(re, -1.01 * scattering._MAX_EDGE_DEPTH / ell.max())
+                for re in (3.0, 40.0, 200.0)]
+        near = list(_dirichlet_band(system)[::25])
+        for k in deep + near:
+            assert log_derivative(system, k) == pytest.approx(
+                _bond_log_derivative(system, k), rel=1e-12)
+        assert bond_points == deep + near
+
+    def test_small_graphs_take_the_bond_path(self, bond_points):
+        system = build_bond_system(fixture("nW2"))
+        assert system.n_bonds < scattering._MIN_NEWTON_BONDS
+        log_derivative(system, 10.3 - 0.2j)  # a point the vertex form serves
+        assert bond_points == [10.3 - 0.2j]
 
 
 @st.composite

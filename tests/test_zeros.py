@@ -181,13 +181,14 @@ class TestFindZeros:
 def sampled_segments(monkeypatch):
     """How often each side segment {z0, z1} is sampled, in either direction."""
     seen = Counter()
-    sample = zeros._sample_side
+    sample = zeros._sample
 
-    def spy(system, z0, z1, side):
-        seen[frozenset((z0, z1))] += 1
-        return sample(system, z0, z1, side)
+    def spy(system, segments):
+        for z0, z1, _ in segments:
+            seen[frozenset((z0, z1))] += 1
+        return sample(system, segments)
 
-    monkeypatch.setattr(zeros, "_sample_side", spy)
+    monkeypatch.setattr(zeros, "_sample", spy)
     return seen
 
 
@@ -206,6 +207,52 @@ class TestSamplingOnce:
     def test_counting_samples_no_line_twice(self, systems, sampled_segments):
         counting_function(systems["W1"], FIT_GRID)
         assert max(sampled_segments.values()) == 1
+
+    def test_counting_batches_its_secular_calls(self, systems, monkeypatch):
+        # 120 cuts and 242 strip sides, sampled in batches rather than
+        # one call per side and refinement round
+        calls = []
+        secular = zeros.secular_many
+
+        def spy(system, ks):
+            calls.append(np.size(ks))
+            return secular(system, ks)
+
+        monkeypatch.setattr(zeros, "secular_many", spy)
+        counting_function(systems["W1"], FIT_GRID)
+        assert len(calls) < 100
+
+
+def _alone(system, segments):
+    """Each segment sampled in a batch of its own."""
+    return [zeros._sample(system, [segment])[0] for segment in segments]
+
+
+def _same_result(a, b) -> bool:
+    if isinstance(a, zeros.BoundaryProximityError):
+        return (isinstance(b, zeros.BoundaryProximityError)
+                and (a.side, str(a)) == (b.side, str(b)))
+    return (not isinstance(b, zeros.BoundaryProximityError)
+            and all(np.array_equal(x, y) for x, y in zip(a, b)))
+
+
+class TestBatchedSampler:
+    def test_a_segment_through_a_zero_reports_its_own_side(self, neumann):
+        # the left side of this box runs through the zero at pi
+        box = SearchBox(np.pi, 10.0, -0.5, 0.2)
+        segments = [zeros._segment(box, side) for side in (0, 3, 1)]
+        bottom, left, right = zeros._sample(neumann, segments)
+        assert isinstance(left, zeros.BoundaryProximityError)
+        assert left.side == 3
+        for got, want in zip((bottom, right), _alone(neumann, segments[::2])):
+            assert _same_result(got, want)
+            assert got[0][0] == 0.0 and got[0][-1] == 1.0
+        with pytest.raises(zeros.BoundaryProximityError) as err:
+            zeros._sides(neumann, segments)
+        assert err.value.side == 3
+
+    def test_no_segments(self, neumann):
+        assert zeros._sample(neumann, []) == []
 
 
 class TestCountingFunction:
@@ -304,9 +351,8 @@ class TestStripHelperProperties:
         lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
         mid = lo + (hi - lo) * frac
         try:
-            sides = [zeros._side(system, box, side) for side in range(4)]
-            line = zeros._side(system, zeros._span(box, axis, lo, mid), 1 + axis)
-            halves = zeros._strips(system, box, sides, axis, [(mid, line)])
+            sides = zeros._sides(system, [zeros._segment(box, side) for side in range(4)])
+            halves = zeros._strips(system, box, sides, axis, [(mid, None)])
         except zeros.BoundaryProximityError:
             assume(False)
         assert [half for half, _ in halves] == [
@@ -315,3 +361,19 @@ class TestStripHelperProperties:
         counts = [zeros._loop_winding(s)[0] for _, s in halves]
         assert counts == [count_zeros(system, half) for half, _ in halves]
         assert sum(counts) == zeros._loop_winding(sides)[0]
+
+
+_POINTS = st.builds(complex, st.floats(0.5, 30.0), st.floats(-3.0, 0.5))
+
+
+class TestBatchedSamplerProperties:
+    @given(small_open_graphs(),
+           st.lists(st.tuples(_POINTS, _POINTS, st.integers(0, 3)), min_size=1, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_each_segment_alone(self, graph, segments):
+        system = build_bond_system(graph)
+        segments = [(z0, z1, side) for z0, z1, side in segments if z0 != z1]
+        batched = zeros._sample(system, segments)
+        assert len(batched) == len(segments)
+        for got, want in zip(batched, _alone(system, segments)):
+            assert _same_result(got, want)
