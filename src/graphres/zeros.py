@@ -246,12 +246,14 @@ def _loop_winding(sides) -> tuple[int, float]:
 
     Each side starts where the previous one ends.  Returns (count, max |f|)
     and raises :class:`SolverError` unless the phase sum is a nonnegative
-    integer to within 1e-3.
+    integer to within 1e-3 (a sample that overflowed makes it non-finite).
     """
     f = np.concatenate(sides)
     # duplicated corner points contribute zero-length (zero-phase) segments;
     # appending f[0] closes the loop
     total = _phase_steps(np.append(f, f[0])).sum() / (2.0 * np.pi)
+    if not np.isfinite(total):
+        raise SolverError(f"winding sum {total} is not finite")
     count = int(round(total))
     if abs(total - count) > 1e-3 or count < 0:
         raise SolverError(f"winding sum {total} is not a nonnegative integer")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,31 @@ class TestFailureModes:
         assert code == 2
         assert "depth must be positive" in err
         assert out == ""
+
+    def test_overflowing_depth_exits_3(self, capsys):
+        # |det M| may reach e^799 at Im k = -400 on W1's 0.999 m of edges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "resonances", "--fixture", "W1",
+                                 "--depth", "400", "--fmin-ghz", "1", "--fmax-ghz", "1.1")
+        assert code == 3
+        assert "beyond double precision" in err
+        assert out == ""
+
+    def test_deep_box_within_double_range_solves(self, capsys):
+        band = ("--fmin-ghz", "1", "--fmax-ghz", "1.1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(capsys, "resonances", "--fixture", "W1",
+                               "--depth", "120", *band)
+        assert code == 0
+        # the band's zeros all lie above Im k = -8; Newton starts elsewhere
+        _, deep = rows(out)
+        _, shallow = rows(run(capsys, "resonances", "--fixture", "W1", *band)[1])
+        assert len(deep) == len(shallow) == 1
+        for a, b in zip(deep, shallow):
+            k = [complex(*map(float, r.split(",")[:2])) for r in (a, b)]
+            assert abs(k[0] - k[1]) < 1e-12
 
     @pytest.mark.parametrize("command", ["resonances", "classify", "count"])
     def test_absorption_is_a_sweep_option(self, capsys, command):

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphres import (
@@ -9,6 +12,7 @@ from graphres import (
     Edge,
     Lead,
     MetricGraph,
+    balance_report,
     build_bond_system,
     det_smatrix_modulus,
     external_smatrix,
@@ -133,6 +137,14 @@ class TestSecular:
         s = build_bond_system(fixture("W1"))
         with pytest.raises(OverflowError):
             secular(s, 10.0 - 4000.0j)
+
+    def test_overflow_guard_bounds_the_whole_determinant(self):
+        # at Im k = -400 no edge's e^{ik l} passes e^90, but |det M| may
+        # reach e^799; at -340 the bound stays below e^680
+        s = build_bond_system(fixture("W1"))
+        with pytest.raises(OverflowError, match="beyond double precision"):
+            secular(s, 10.0 - 400.0j)
+        assert np.isfinite(secular(s, 10.0 - 340.0j))
 
     def test_mean_value_over_a_circle(self):
         # analytic functions equal the average of their values on any
@@ -350,9 +362,26 @@ def _random_graph(n_edges, seed):
     return MetricGraph(tuple(range(1, n + 1)), edges, (Lead(1, 1), Lead(2, n)))
 
 
+def _with_balanced_pendant(graph):
+    """The graph with its last lead moved onto a new pendant edge, which
+    leaves the new vertex balanced (one bond end, one lead)."""
+    v = max(graph.vertices) + 1
+    *leads, last = graph.leads
+    return MetricGraph(
+        (*graph.vertices, v),
+        (*graph.edges, Edge(len(graph.edges) + 1, last.anchor, v, 0.2)),
+        (*leads, Lead(last.id, v)),
+    )
+
+
+def _balanced(graph):
+    return bool(balance_report(graph).balanced_vertices)
+
+
 LOG_DERIVATIVE_GRAPHS = {
     **dict(zip([*FIXTURE_NAMES, "self-loop"], REFERENCE_GRAPHS)),
     "random-40": _random_graph(40, 5),
+    "balanced-41": _with_balanced_pendant(_random_graph(40, 5)),
 }
 
 
@@ -375,10 +404,12 @@ class TestLogDerivativeVertexForm:
     def test_vertex_form_matches_the_bond_matrix(self, name, bond_points, monkeypatch):
         # the small graphs take the vertex form only without the size rule
         monkeypatch.setattr(scattering, "_MIN_NEWTON_BONDS", 0)
-        system = build_bond_system(LOG_DERIVATIVE_GRAPHS[name])
+        graph = LOG_DERIVATIVE_GRAPHS[name]
+        system = build_bond_system(graph)
         ell = system.lengths[:system.n_edges]
         rng = np.random.default_rng(11)
-        depth = scattering._MAX_EDGE_DEPTH / ell.max()
+        # without a balanced vertex the vertex form serves every depth
+        depth = scattering._MAX_EDGE_DEPTH / ell.max() if _balanced(graph) else 8.0
         ks = rng.uniform(1.0, 400.0, 200) - 1j * rng.uniform(0.0, depth, 200)
         gap = np.abs(1.0 - np.exp(2j * ks[:, None] * ell)).min(axis=1)
         served = gap >= scattering._MIN_EDGE_GAP
@@ -391,7 +422,9 @@ class TestLogDerivativeVertexForm:
         assert np.all(np.abs(got - want) <= (1e-12 + 1e-15 / gap ** 2) * np.abs(want))
 
     def test_deep_and_near_dirichlet_points_take_the_bond_path(self, bond_points):
-        system = build_bond_system(LOG_DERIVATIVE_GRAPHS["random-40"])
+        graph = LOG_DERIVATIVE_GRAPHS["balanced-41"]
+        assert _balanced(graph)
+        system = build_bond_system(graph)
         assert system.n_bonds >= scattering._MIN_NEWTON_BONDS
         ell = system.lengths[:system.n_edges]
         deep = [complex(re, -1.01 * scattering._MAX_EDGE_DEPTH / ell.max())
@@ -401,6 +434,24 @@ class TestLogDerivativeVertexForm:
             assert log_derivative(system, k) == pytest.approx(
                 _bond_log_derivative(system, k), rel=1e-12)
         assert bond_points == deep + near
+
+    @pytest.mark.parametrize("name", ["W1", "random-40"])
+    def test_deep_points_without_a_balanced_vertex_stay_off_the_bond_path(
+            self, name, bond_points, monkeypatch):
+        # W1 has too few bonds for Newton's vertex form without the size rule
+        monkeypatch.setattr(scattering, "_MIN_NEWTON_BONDS", 0)
+        graph = LOG_DERIVATIVE_GRAPHS[name]
+        assert not _balanced(graph)
+        system = build_bond_system(graph)
+        ell = system.lengths[:system.n_edges]
+        ks = np.array([complex(re, -depth / ell.max())
+                       for re in (3.0, 40.0, 200.0)
+                       for depth in (1.01 * scattering._MAX_EDGE_DEPTH, 4.0, 8.0)])
+        _assert_reduction(system, ks)
+        got = np.array([log_derivative(system, k) for k in ks])
+        assert not bond_points
+        want = np.array([_bond_log_derivative(system, k) for k in ks])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_small_graphs_take_the_bond_path(self, bond_points):
         system = build_bond_system(fixture("nW2"))
@@ -437,6 +488,44 @@ def small_graphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_vertex_reduction_on_random_graphs(graph, re, im):
     _assert_reduction(build_bond_system(graph), np.array([complex(re, im)]))
+
+
+@given(small_graphs(), st.floats(1.0, 100.0), st.floats(-8.0, -0.05))
+@settings(max_examples=60, deadline=None)
+def test_vertex_reduction_deep_without_a_balanced_vertex(graph, re, im):
+    assume(not _balanced(graph))
+    _assert_reduction(build_bond_system(graph), np.array([complex(re, im)]))
+
+
+def _mp_secular(system, k):
+    """``det(I - e^{ikL} Sigma)`` in 50-digit arithmetic.
+
+    Sigma's entries are ``2/d - delta``, recovered exactly as fractions;
+    the lengths and k are taken as the doubles the library sees.
+    """
+    with mpmath.workdps(50):
+        n = system.n_bonds
+        k = mpmath.mpc(k.real, k.imag)
+        mat = mpmath.eye(n)
+        for b in range(n):
+            z = mpmath.exp(1j * k * mpmath.mpf(system.lengths[b]))
+            for c in np.flatnonzero(system.sigma[b]):
+                x = Fraction(system.sigma[b, c]).limit_denominator(1000)
+                mat[b, c] -= z * mpmath.mpf(x.numerator) / x.denominator
+        return complex(mpmath.det(mat))
+
+
+@pytest.mark.parametrize("name", ["W1", "triangle"])
+@pytest.mark.parametrize("im", [-8.0, -40.0])
+def test_deep_vertex_form_against_50_digits(name, im, bond_points):
+    graph = VERTEX_GRAPHS[name]
+    assert not _balanced(graph)
+    system = build_bond_system(graph)
+    ks = np.array([complex(re, im) for re in (3.0, 37.3, 211.9)])
+    got = secular_many(system, ks)
+    assert not bond_points
+    want = np.array([_mp_secular(system, k) for k in ks])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 
 class TestBatching:

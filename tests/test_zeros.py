@@ -291,6 +291,10 @@ class TestCountingFunction:
         R = [np.pi, np.pi + 1e-6]
         assert [n for _, n in counting_function(neumann, R, depth=0.5)] == [1, 1]
 
+    def test_a_non_finite_winding_is_a_solver_error(self):
+        with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
+            zeros._loop_winding([np.array([1.0, np.nan, 1j])])
+
     def test_strips_must_sum_to_the_root_winding(self, neumann, overcounted_root):
         with pytest.raises(SolverError, match="root winding"):
             counting_function(neumann, [4.0, 10.0], depth=0.5)
