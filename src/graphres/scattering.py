@@ -57,8 +57,8 @@ import numpy as np
 from .constants import C0
 from .graph import MetricGraph
 
-# log of the largest double: |det M(k)| may reach prod_e (1 + |e^{ik l_e}|)^2
-# (row b of M has norm <= 1 + |e^{ik l_b}|), and beyond this bound neither
+# log of the largest double: deep in the lower half-plane |det M(k)| grows
+# like prod_e |e^{ik l_e}|^2 = e^{-2 Im k L}, and beyond this bound neither
 # det M, prod_e s_e nor e^{2ik l_e} is safe
 _LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
 # the vertex form loses digits below this min_e |1 - e^{2ik l_e}|, and on a
@@ -183,12 +183,12 @@ def _vertex_terms(ends: np.ndarray, degree: np.ndarray):
 
 def _wavenumbers(system: BondSystem, ks) -> np.ndarray:
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    depth = -ks.imag.min() * system.lengths[:system.n_edges]
-    bound = 2.0 * np.logaddexp(0.0, depth).sum()
-    if bound > _LOG_DOUBLE_MAX:
+    # only the edges' growth counts: at real k M(k) is bounded and S(k) unitary
+    growth = 2.0 * max(-ks.imag.min(), 0.0) * system.lengths[:system.n_edges].sum()
+    if growth > _LOG_DOUBLE_MAX:
         raise OverflowError(
-            f"Im k too deep: |det M(k)| may reach e^{bound:.0f}, beyond double "
-            "precision"
+            f"Im k too deep: |det M(k)| may grow like e^{growth:.0f}, beyond "
+            "double precision"
         )
     return ks
 

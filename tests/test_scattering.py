@@ -139,12 +139,25 @@ class TestSecular:
             secular(s, 10.0 - 4000.0j)
 
     def test_overflow_guard_bounds_the_whole_determinant(self):
-        # at Im k = -400 no edge's e^{ik l} passes e^90, but |det M| may
-        # reach e^799; at -340 the bound stays below e^680
+        # at Im k = -400 no edge's e^{ik l} passes e^90, but |det M| grows
+        # like e^{-2 Im k L} = e^799 on W1's 0.999 m; at -340 like e^679
         s = build_bond_system(fixture("W1"))
         with pytest.raises(OverflowError, match="beyond double precision"):
             secular(s, 10.0 - 400.0j)
         assert np.isfinite(secular(s, 10.0 - 340.0j))
+
+    def test_a_graph_of_600_edges_is_evaluated_at_real_k(self, bond_points):
+        # nothing grows on the real axis, however many edges the graph has
+        system = build_bond_system(_random_graph(600, 3))
+        ell = system.lengths[:system.n_edges]
+        ks = np.linspace(50.0, 60.0, 2001)
+        gap = np.abs(1.0 - np.exp(2j * ks[:, None] * ell)).min(axis=1)
+        ks = ks[gap >= scattering._MIN_EDGE_GAP][:4]
+        assert ks.size == 4
+        assert np.all(np.isfinite(secular_many(system, ks)))
+        S = smatrix_many(system, ks)
+        assert np.allclose(S @ S.conj().transpose(0, 2, 1), np.eye(2), atol=1e-10)
+        assert not bond_points
 
     def test_mean_value_over_a_circle(self):
         # analytic functions equal the average of their values on any
