@@ -157,17 +157,13 @@ def _cmd_sweep(args, graph: MetricGraph) -> int:
     trace = sweep(system, band, absorption=args.absorption)
     trace_lines = [TRACE_HEADER]
     trace_lines.extend(
-        f"{float(nu)!r},{float(m)!r}" for nu, m in zip(trace.nu, trace.modulus)
+        f"{nu!r},{m!r}" for nu, m in zip(trace.nu.tolist(), trace.modulus.tolist())
     )
     dip_lines = [DIP_HEADER]
     dip_lines.extend(f"{d.nu!r},{d.depth!r}" for d in trace.dips)
-    if args.out:
-        _emit("\n".join(trace_lines) + "\n", args.out)
-        dips_path = str(Path(args.out).with_suffix(".dips.csv"))
-        _emit("\n".join(dip_lines) + "\n", dips_path)
-    else:
-        _emit("\n".join(trace_lines) + "\n", None)
-        _emit("\n".join(dip_lines) + "\n", None)
+    _emit("\n".join(trace_lines) + "\n", args.out)
+    _emit("\n".join(dip_lines) + "\n",
+          args.out and str(Path(args.out).with_suffix(".dips.csv")))
     if trace.dips:
         zs = find_zeros(system, box)
         nus = np.array([r.nu for r in zs.resonances])

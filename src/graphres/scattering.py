@@ -223,6 +223,7 @@ def _vertex_matrices(system: BondSystem, ks: np.ndarray, derivative: bool = Fals
     / s^2`` and ``(-1/s)' = -2i l z^2 / s^2`` through the same terms.
     """
     V = system.n_vertices
+    h0, column, first, flat, row_weight = system.h_terms
     ell = system.lengths[:system.n_edges]
     step = _batch_size(V)
     shallow = np.flatnonzero(-ks.imag * ell.max(initial=0.0) <= system.vertex_depth)
@@ -242,24 +243,18 @@ def _vertex_matrices(system: BondSystem, ks: np.ndarray, derivative: bool = Fals
             q = 1j * ell * z * inv * inv
             dcoef = np.concatenate([q * (1.0 + z * z), -2.0 * q * z], axis=1)
             coef = np.concatenate([coef, dcoef])
-        H = _edge_terms(system, coef)
-        H[:rows.size, ::V + 1] += system.h_terms[0]
+        del inv
+        # -W times the coefficients summed per position of H.  These
+        # temporaries, not H, set a batch's peak memory, so each step rebinds
+        # coef and frees the previous one.
+        if column.size:  # a graph of leads only has no edge terms
+            coef = coef.take(column, axis=1)
+            coef = np.add.reduceat(coef, first, axis=1)
+            coef *= -row_weight
+        H = np.zeros((coef.shape[0], V * V), dtype=complex)
+        H[:, flat] = coef
+        H[:rows.size, ::V + 1] += h0
         yield rows, z, s, H.reshape(-1, V, V)
-
-
-def _edge_terms(system: BondSystem, coef: np.ndarray) -> np.ndarray:
-    """``-W`` times the edge coefficients summed per position of H, flattened.
-
-    ``coef`` holds per point the z/s column of each edge, then its -1/s
-    column, or their derivatives.
-    """
-    V = system.n_vertices
-    _, column, first, flat, row_weight = system.h_terms
-    out = np.zeros((coef.shape[0], V * V), dtype=complex)
-    if column.size:  # a graph of leads only has no edge terms
-        terms = np.add.reduceat(coef.take(column, axis=1), first, axis=1)
-        out[:, flat] = -row_weight * terms
-    return out
 
 
 def _evaluate(system: BondSystem, ks, shape, vertex, bond) -> np.ndarray:

@@ -50,11 +50,6 @@ class CountReport:
     slope_relative_error: float
 
 
-def round_half_up(x: float) -> int:
-    """.5 always rounds up; plain round() would go to even."""
-    return math.floor(x + 0.5)
-
-
 def predicted_count(graph: MetricGraph, band: tuple[float, float]) -> tuple[float, float]:
     """Expected resonance counts in the band: (L-based, effective-size-based).
 

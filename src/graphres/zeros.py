@@ -10,9 +10,9 @@ each samples only its two sides along the split axis.
 The counting function N(R) locates no zeros: it cuts one strip the same way,
 at every R, and sums the windings of the sub-strips.
 
-The sides of a cut are sampled in one batched call: the four sides of a
-root box, a split line with the new sides of both halves, all cuts of the
-counting strip, and then all of its strips' sides.  Each refinement round of
+Both cut a box through ``_strips``, which samples the cuts with the new sides
+of the parts in one batched call and moves a cut that runs through a zero.
+The four sides of a root box are one batch as well.  Each refinement round of
 a batch is one more secular call, so the number of calls, not of points,
 falls; the values are those of sampling each side alone.
 """
@@ -217,21 +217,42 @@ def _strips(system, box, sides, axis, cuts):
     """(part, sampled sides) of each part of a box cut across ``axis``.
 
     ``sides`` are the box's sampled sides (bottom, right, top, left) and
-    ``cuts`` ascending ``(position, samples)`` lines inside it, each sampled
-    as side ``1 + axis`` of the part below and used reversed by the part
-    above.  A line given without samples is sampled here, in one batch with
-    the parts' sides.  The end parts keep the box sides they inherit whole,
-    so each part samples only its two sides along ``axis``.
+    ``cuts`` ascending positions inside it.  Each cut is sampled as side
+    ``1 + axis`` of the part below, in one batch with the parts' sides, and
+    used reversed by the part above; the end parts keep the box sides they
+    inherit whole, so each part samples only its two sides along ``axis``.
+    A cut through a zero moves up by 1e-6 of the box span, dropping every cut
+    it reaches (all the rest once it reaches the far edge), and the batch is
+    sampled again, at most five times in all.
     """
     lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
-    ends = [lo, *(x for x, _ in cuts), hi]
-    parts = [_span(box, axis, a, b) for a, b in zip(ends, ends[1:])]
-    fresh = [_segment(part, 1 + axis) for part, (_, f) in zip(parts, cuts) if f is None]
-    sampled = iter(_sides(system, fresh + [
-        _segment(part, side) for part in parts for side in (axis, axis + 2)
-    ]))
+    for _ in range(_MAX_NUDGES):
+        ends = [lo, *cuts, hi]
+        parts = [_span(box, axis, a, b) for a, b in zip(ends, ends[1:])]
+        sampled = _sample(system, [_segment(part, 1 + axis) for part in parts[:-1]] + [
+            _segment(part, side) for part in parts for side in (axis, axis + 2)
+        ])
+        near = [isinstance(r, BoundaryProximityError) for r in sampled[: len(cuts)]]
+        if not any(near):
+            break
+        moved = []
+        for x, shift in zip(cuts, near):
+            x += _NUDGE * (hi - lo) if shift else 0.0
+            if x >= hi:
+                break
+            if not moved or x > moved[-1]:
+                moved.append(x)
+        cuts = moved
+    else:
+        raise BoundaryProximityError(
+            1 + axis, f"cut still near a zero after {_MAX_NUDGES} nudges"
+        )
+    for result in sampled:
+        if isinstance(result, BoundaryProximityError):
+            raise result
+    sampled = iter(f for _, f in sampled)
     lines = [sides[(3 + axis) % 4][::-1],
-             *(next(sampled) if f is None else f for _, f in cuts), sides[1 + axis]]
+             *(next(sampled) for _ in cuts), sides[1 + axis]]
     out = []
     for part, below, above in zip(parts, lines, lines[1:]):
         s = [None] * 4
@@ -307,24 +328,20 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
     is checked against the root winding total.
     """
     total, scale, box, sides = _winding_nudged(system, box)
-    found: list[complex] = []
+    found: list[Resonance] = []
     if total:
         _subdivide(system, box, sides, total, scale, 0, found)
-    found.sort(key=lambda z: (z.real, z.imag))
-    kept: list[complex] = []
-    for z in found:
-        if kept and abs(z - kept[-1]) < _DEDUP_RADIUS:
+    found.sort(key=lambda r: (r.k.real, r.k.imag))
+    kept: list[Resonance] = []
+    for r in found:
+        if kept and abs(r.k - kept[-1].k) < _DEDUP_RADIUS:
             continue
-        kept.append(z)
+        kept.append(r)
     if len(kept) != total:
         raise SolverError(
             f"located {len(kept)} zeros but the boundary winding says {total}"
         )
-    residuals = np.abs(secular_many(system, kept)) if kept else []
-    resonances = tuple(
-        Resonance(k, float(r)) for k, r in zip(kept, residuals)
-    )
-    return ZeroSet(resonances, total, scale)
+    return ZeroSet(tuple(kept), total, scale)
 
 
 def _subdivide(system, box, sides, count, scale, depth, out):
@@ -336,9 +353,9 @@ def _subdivide(system, box, sides, count, scale, depth, out):
             f"{count} or a solver defect"
         )
     if count == 1:
-        k = _newton(system, box, scale)
-        if k is not None:
-            out.append(k)
+        zero = _newton(system, box, scale)
+        if zero is not None:
+            out.append(zero)
             return
         # Newton failed from this leaf's center: shrink and retry
     axis = depth % 2
@@ -346,9 +363,9 @@ def _subdivide(system, box, sides, count, scale, depth, out):
     for frac in _SPLIT_FRACTIONS:
         mid = lo + (hi - lo) * frac
         try:
-            halves = _strips(system, box, sides, axis, [(mid, None)])
+            halves = _strips(system, box, sides, axis, [mid])
         except BoundaryProximityError:
-            continue  # a zero sits near this split line; jitter it
+            continue  # no nudge cleared the zeros near this line; jitter it
         counts = [_loop_winding(s)[0] for _, s in halves]
         if sum(counts) != count:
             continue  # phase slipped right at the line; jitter as well
@@ -359,7 +376,8 @@ def _subdivide(system, box, sides, count, scale, depth, out):
 
 
 def _newton(system, box, scale):
-    """Newton via the logarithmic derivative; None signals 'shrink the box'."""
+    """Newton via the logarithmic derivative: the accepted zero with its
+    residual |secular(k)|, or None to signal 'shrink the box'."""
     k = complex(
         0.5 * (box.re_min + box.re_max), 0.5 * (box.im_min + box.im_max)
     )
@@ -392,7 +410,7 @@ def _newton(system, box, scale):
     # the zero must belong to this leaf, not a neighbor's basin
     if not box.contains(k, _DEDUP_RADIUS):
         return None
-    return k
+    return Resonance(k, residual)
 
 
 def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
@@ -402,46 +420,21 @@ def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
     excluded (it is not a resonance).  No zero is located: the root strip up
     to the last R is cut at every other R into strips that share their
     vertical cuts, each strip is counted by its own winding number, and the
-    running sum must reach the root strip's winding.  A cut that passes
-    through a zero is shifted right by 1e-6 of the root span, so a zero at
-    Re k = R counts in N(R).
+    running sum must reach the root strip's winding.  The cuts are sampled in
+    one batch with the strips' sides.  A cut that passes through a zero is
+    moved right by 1e-6 of the root span, so a zero at Re k = R counts in
+    N(R); an R left of a moved cut shares it.
     """
     R = np.asarray(R_values, dtype=float)
     if R.size == 0 or np.any(R <= 0.0) or np.any(np.diff(R) <= 0.0):
         raise ValueError("R_values must be positive and strictly ascending")
     root = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
     total, _, root, sides = _winding_nudged(system, root)
-    # every cut is sampled at its nominal R in one batch; only a cut through
-    # a zero is sampled again, each time 1e-6 of the root span further right
-    def cut(x):
-        return _segment(_span(root, 0, root.re_min, x), 1)
-
     inside = [float(r) for r in R[:-1] if r > root.re_min]
-    nominal = dict(zip(inside, _sample(system, [cut(x) for x in inside])))
-    # at[j]: number of strips left of N(R[j])'s closing cut.  An R left of
-    # the previous (possibly shifted) cut shares it; once a shift reaches the
-    # root's right edge, the remaining R take the whole strip.
-    cuts, at = [], []
-    for r in R[:-1]:
-        x = float(r)
-        if x > (cuts[-1][0] if cuts else root.re_min):
-            result = nominal[x]
-            for _ in range(_MAX_NUDGES - 1):
-                if not isinstance(result, BoundaryProximityError):
-                    break
-                x += _NUDGE * (root.re_max - root.re_min)
-                (result,) = _sample(system, [cut(x)])
-            if isinstance(result, BoundaryProximityError):
-                raise SolverError(
-                    f"cut at Re k = {r} still near a zero after {_MAX_NUDGES} nudges"
-                )
-            if x >= root.re_max:
-                break
-            cuts.append((x, result[1]))
-        at.append(len(cuts))
-    at += [len(cuts) + 1] * (R.size - len(at))
-    strips = [_loop_winding(s)[0] for _, s in _strips(system, root, sides, 0, cuts)]
-    counts = np.concatenate([[0], np.cumsum(strips)])[at]
+    strips = _strips(system, root, sides, 0, inside)
+    windings = [_loop_winding(s)[0] for _, s in strips]
+    edges = [root.re_min, *(strip.re_max for strip, _ in strips)]
+    counts = np.concatenate([[0], np.cumsum(windings)])[np.searchsorted(edges, R)]
     if counts[-1] != total:
         raise SolverError(
             f"strip windings sum to {counts[-1]} but the root winding says {total}"

@@ -157,6 +157,43 @@ class TestFindZeros:
         assert len(ks) == 3
         assert ks[0] == pytest.approx(np.pi, abs=1e-10)
 
+    def test_split_line_through_a_zero_moves_off_it(self, neumann, monkeypatch):
+        # the first split line, at the box's middle Re k = 2 pi, runs through
+        # a zero; the same batch is sampled again with the line 1e-6 of the
+        # span further right
+        calls = []
+        sample = zeros._sample
+
+        def spy(system, segments):
+            calls.append(segments)
+            return sample(system, segments)
+
+        monkeypatch.setattr(zeros, "_sample", spy)
+        lo, hi = 1.0, 4 * np.pi - 1.0
+        zs = find_zeros(neumann, SearchBox(lo, hi, -0.5, 0.0))
+        mid = lo + (hi - lo) * 0.5
+        assert calls[1][0][0].real == mid == pytest.approx(2 * np.pi)
+        assert calls[2][0][0].real == mid + 1e-6 * (hi - lo)
+        assert calls[2][0][0].real == pytest.approx(6.2831959, abs=1e-7)
+        assert [len(c) for c in calls[1:3]] == [5, 5]
+        ks = [r.k.real for r in zs.resonances]
+        assert ks == pytest.approx([np.pi, 2 * np.pi, 3 * np.pi], abs=1e-10)
+
+    def test_each_zero_is_evaluated_once(self, systems, band_box, monkeypatch):
+        # Newton's acceptance measures the residual; no closing call repeats it
+        points = []
+        secular = zeros.secular_many
+
+        def spy(system, ks):
+            points.extend(np.atleast_1d(ks).tolist())
+            return secular(system, ks)
+
+        monkeypatch.setattr(zeros, "secular_many", spy)
+        zs = find_zeros(systems["W1"], band_box)
+        seen = Counter(points)
+        assert len(zs) == 13
+        assert [seen[r.k] for r in zs.resonances] == [1] * len(zs)
+
     def test_subdivision_additivity_fixed_splits(self, systems, band_box):
         s = systems["W1"]
         parent = count_zeros(s, band_box)
@@ -207,6 +244,20 @@ class TestSamplingOnce:
     def test_counting_samples_no_line_twice(self, systems, sampled_segments):
         counting_function(systems["W1"], FIT_GRID)
         assert max(sampled_segments.values()) == 1
+
+    def test_counting_samples_cuts_with_the_strip_sides(self, systems, monkeypatch):
+        # one batch for the root's sides, one for every cut and strip side
+        batches = []
+        sample = zeros._sample
+
+        def spy(system, segments):
+            batches.append(len(segments))
+            return sample(system, segments)
+
+        monkeypatch.setattr(zeros, "_sample", spy)
+        counting_function(systems["W1"], FIT_GRID)
+        cuts = len(FIT_GRID) - 1
+        assert batches == [4, cuts + 2 * (cuts + 1)]
 
     def test_counting_batches_its_secular_calls(self, systems, monkeypatch):
         # 120 cuts and 242 strip sides, sampled in batches rather than
@@ -291,6 +342,30 @@ class TestCountingFunction:
         R = [np.pi, np.pi + 1e-6]
         assert [n for _, n in counting_function(neumann, R, depth=0.5)] == [1, 1]
 
+    def test_a_cut_that_stays_near_a_zero_is_a_boundary_error(self, neumann,
+                                                               monkeypatch):
+        # every sampling of the first cut reports a zero on it: it moves by
+        # 9e-6, dropping the cut it reaches, for five batches in all, and then
+        # the error names the cut's side
+        batches = []
+        sample = zeros._sample
+
+        def near(system, segments):
+            batches.append((segments[0][0].real, len(segments)))
+            out = sample(system, segments)
+            out[0] = zeros.BoundaryProximityError(segments[0][2], "on a zero")
+            return out
+
+        box = SearchBox(1.0, 10.0, -0.5, 0.2)
+        sides = zeros._sides(neumann, [zeros._segment(box, side) for side in range(4)])
+        monkeypatch.setattr(zeros, "_sample", near)
+        with pytest.raises(zeros.BoundaryProximityError) as err:
+            zeros._strips(neumann, box, sides, 0, [4.0, 4.000001, 7.0])
+        assert err.value.side == 1
+        assert [x for x, _ in batches] == pytest.approx(
+            [4.0 + 9e-6 * n for n in range(5)], abs=1e-12)
+        assert [n for _, n in batches] == [3 + 2 * 4] + [2 + 2 * 3] * 4
+
     def test_a_non_finite_winding_is_a_solver_error(self):
         with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
             zeros._loop_winding([np.array([1.0, np.nan, 1j])])
@@ -356,7 +431,7 @@ class TestStripHelperProperties:
         mid = lo + (hi - lo) * frac
         try:
             sides = zeros._sides(system, [zeros._segment(box, side) for side in range(4)])
-            halves = zeros._strips(system, box, sides, axis, [(mid, None)])
+            halves = zeros._strips(system, box, sides, axis, [mid])
         except zeros.BoundaryProximityError:
             assume(False)
         assert [half for half, _ in halves] == [
