@@ -70,8 +70,9 @@ _MAX_EDGE_DEPTH = 1.5
 # the bond matrix costs less than the vertex form's extra array steps (the
 # two cross between 28 and 32 bonds, one point per call)
 _MIN_NEWTON_BONDS = 32
-# complex matrices held per batch; LAPACK works per matrix, so the batch
-# size never changes a value
+# one batch of points, on either form, holds at most this many bytes of the
+# larger matrix, bond or vertex; LAPACK works per matrix, so the batch size
+# never changes a value
 _BATCH_BYTES = 64 * 2 ** 20
 
 
@@ -184,7 +185,7 @@ def _vertex_terms(ends: np.ndarray, degree: np.ndarray):
 def _wavenumbers(system: BondSystem, ks) -> np.ndarray:
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     # only the edges' growth counts: at real k M(k) is bounded and S(k) unitary
-    growth = 2.0 * max(-ks.imag.min(), 0.0) * system.lengths[:system.n_edges].sum()
+    growth = -2.0 * ks.imag.min(initial=0.0) * system.lengths[:system.n_edges].sum()
     if growth > _LOG_DOUBLE_MAX:
         raise OverflowError(
             f"Im k too deep: |det M(k)| may grow like e^{growth:.0f}, beyond "
@@ -193,87 +194,82 @@ def _wavenumbers(system: BondSystem, ks) -> np.ndarray:
     return ks
 
 
-def _batch_size(n: int) -> int:
-    """Points per batch of n x n complex matrices within ``_BATCH_BYTES``."""
+def _batch_size(system: BondSystem) -> int:
+    """Points per batch of the larger matrix, bond or vertex, within ``_BATCH_BYTES``."""
+    n = max(system.n_bonds, system.n_vertices)
     return max(1, _BATCH_BYTES // (16 * n * n))
 
 
 def _bond_matrices(system: BondSystem, ks: np.ndarray):
-    """Yield ``(e^{ikL}, M(k) = I - e^{ikL} Sigma)`` for each batch of ``ks``.
+    """``(e^{ikL}, M(k) = I - e^{ikL} Sigma)`` for one batch of ``ks``.
 
     e^{ikL} is diagonal, so it scales the rows of Sigma; the product is
     turned into M in place, so a batch holds a single set of matrices.
     """
-    eye = np.eye(system.n_bonds)
-    step = _batch_size(system.n_bonds)
-    for lo in range(0, ks.size, step):
-        phases = np.exp(1j * ks[lo:lo + step, None] * system.lengths)
-        mats = phases[:, :, None] * system.sigma
-        yield phases, np.subtract(eye, mats, out=mats)
+    phases = np.exp(1j * ks[:, None] * system.lengths)
+    mats = phases[:, :, None] * system.sigma
+    return phases, np.subtract(np.eye(system.n_bonds), mats, out=mats)
 
 
-def _vertex_matrices(system: BondSystem, ks: np.ndarray, derivative: bool = False):
-    """Yield ``(rows, z, s, H(k))`` for each batch of ``ks``.
+def _vertex_matrices(system: BondSystem, z: np.ndarray, s: np.ndarray,
+                     derivative: bool) -> np.ndarray:
+    """``H(k)`` for one batch of points the vertex form serves.
 
-    ``rows`` indexes the points of ``ks`` that the vertex form serves.  A
-    point with some ``-Im k l_e > system.vertex_depth`` is dropped before its
-    phases are taken, and one with some ``|s_e| < _MIN_EDGE_GAP`` before any
-    division; both are left for the bond matrix.  With ``derivative``,
-    ``H(k)`` is stacked on ``H'(k)``, which takes ``(z/s)' = i l z (1 + z^2)
-    / s^2`` and ``(-1/s)' = -2i l z^2 / s^2`` through the same terms.
+    ``z`` holds ``e^{ik l_e}`` and ``s`` holds ``1 - z^2``, one row per
+    point.  With ``derivative``, ``H(k)`` is stacked on ``H'(k)``, which
+    takes ``(z/s)' = i l z (1 + z^2) / s^2`` and ``(-1/s)' = -2i l z^2 /
+    s^2`` through the same terms.
     """
     V = system.n_vertices
     h0, column, first, flat, row_weight = system.h_terms
-    ell = system.lengths[:system.n_edges]
-    step = _batch_size(V)
-    shallow = np.flatnonzero(-ks.imag * ell.max(initial=0.0) <= system.vertex_depth)
-    for lo in range(0, shallow.size, step):
-        rows = shallow[lo:lo + step]
-        z = np.exp(1j * ks[rows, None] * ell)
-        s = 1.0 - z * z
-        near = np.abs(s) < _MIN_EDGE_GAP
-        if near.any():
-            far = ~near.any(axis=1)
-            if not far.any():
-                continue
-            rows, z, s = rows[far], z[far], s[far]
-        inv = 1.0 / s
-        coef = np.concatenate([z * inv, -inv], axis=1)
-        if derivative:
-            q = 1j * ell * z * inv * inv
-            dcoef = np.concatenate([q * (1.0 + z * z), -2.0 * q * z], axis=1)
-            coef = np.concatenate([coef, dcoef])
-        del inv
-        # -W times the coefficients summed per position of H.  These
-        # temporaries, not H, set a batch's peak memory, so each step rebinds
-        # coef and frees the previous one.
-        if column.size:  # a graph of leads only has no edge terms
-            coef = coef.take(column, axis=1)
-            coef = np.add.reduceat(coef, first, axis=1)
-            coef *= -row_weight
-        H = np.zeros((coef.shape[0], V * V), dtype=complex)
-        H[:, flat] = coef
-        H[:rows.size, ::V + 1] += h0
-        yield rows, z, s, H.reshape(-1, V, V)
+    inv = 1.0 / s
+    coef = np.concatenate([z * inv, -inv], axis=1)
+    if derivative:
+        q = 1j * system.lengths[:system.n_edges] * z * inv * inv
+        dcoef = np.concatenate([q * (1.0 + z * z), -2.0 * q * z], axis=1)
+        coef = np.concatenate([coef, dcoef])
+    del inv
+    # -W times the coefficients summed per position of H.  These
+    # temporaries, not H, set a batch's peak memory, so each step rebinds
+    # coef and frees the previous one.
+    if column.size:  # a graph of leads only has no edge terms
+        coef = coef.take(column, axis=1)
+        coef = np.add.reduceat(coef, first, axis=1)
+        coef *= -row_weight
+    H = np.zeros((coef.shape[0], V * V), dtype=complex)
+    H[:, flat] = coef
+    H[:z.shape[0], ::V + 1] += h0
+    return H.reshape(-1, V, V)
 
 
-def _evaluate(system: BondSystem, ks, shape, vertex, bond) -> np.ndarray:
-    """``vertex(prod s, H)`` at each point, or ``bond(e^{ikL}, M)`` where it must."""
+def _evaluate(system: BondSystem, ks, shape, vertex, bond,
+              derivative: bool = False) -> np.ndarray:
+    """``vertex(z, s, H)`` at each point, or ``bond(e^{ikL}, M)`` where it must.
+
+    The one loop over points: ``_batch_size(system)`` points at a time.  A
+    point with some ``-Im k l_e > system.vertex_depth`` is left for the
+    bond matrix before its phases are taken, and one with some ``|s_e| <
+    _MIN_EDGE_GAP`` before any division.  A batch's vertex work is done and
+    freed before its bond matrices are built, so the two never coexist.
+    """
     ks = _wavenumbers(system, ks)
-    parts = [(rows, vertex(s.prod(axis=1), H))
-             for rows, _, s, H in _vertex_matrices(system, ks)]
-    if sum(rows.size for rows, _ in parts) < ks.size:
-        rest = np.ones(ks.size, dtype=bool)
-        for rows, _ in parts:
-            rest[rows] = False
-        rest = np.flatnonzero(rest)
-        values = [bond(*batch) for batch in _bond_matrices(system, ks[rest])]
-        parts.append((rest, values[0] if len(values) == 1 else np.concatenate(values)))
-    if len(parts) == 1:
-        return parts[0][1]  # one batch on one path holds every point, in order
+    ell = system.lengths[:system.n_edges]
     out = np.empty((ks.size, *shape), dtype=complex)
-    for rows, values in parts:
-        out[rows] = values
+    step = _batch_size(system)
+    for lo in range(0, ks.size, step):
+        batch, part = ks[lo:lo + step], out[lo:lo + step]
+        served = -batch.imag * ell.max(initial=0.0) <= system.vertex_depth
+        z = np.exp(1j * batch[served, None] * ell)
+        s = 1.0 - z * z
+        near = (np.abs(s) < _MIN_EDGE_GAP).any(axis=1)
+        if near.any():
+            served[served] = ~near
+            z, s = z[~near], s[~near]
+        if served.any():
+            part[served] = vertex(z, s, _vertex_matrices(system, z, s, derivative))
+        del z, s
+        if not served.all():
+            part[~served] = bond(*_bond_matrices(system, batch[~served]))
     return out
 
 
@@ -281,7 +277,7 @@ def secular_many(system: BondSystem, ks) -> np.ndarray:
     """Vectorized ``det(I - e^{ikL} Sigma) = prod_e s_e det H`` over wavenumbers."""
     return _evaluate(
         system, ks, (),
-        lambda scale, H: scale * np.linalg.det(H),
+        lambda z, s, H: s.prod(axis=1) * np.linalg.det(H),
         lambda phases, mats: np.linalg.det(mats),
     )
 
@@ -299,14 +295,17 @@ def log_derivative(system: BondSystem, k: complex) -> complex:
     ``s_e' = -2i l_e z_e^2``; elsewhere ``tr(M^-1 M')`` with
     ``M' = -i L e^{ikL} Sigma``.
     """
-    ks = _wavenumbers(system, [k])
-    if system.n_bonds >= _MIN_NEWTON_BONDS:
-        for _, z, s, (H, Hp) in _vertex_matrices(system, ks, derivative=True):
-            ds = -2j * system.lengths[:system.n_edges] * z[0] * z[0]
-            return complex(ds @ (1.0 / s[0]) + np.linalg.solve(H, Hp).trace())
-    ((phases, mats),) = _bond_matrices(system, ks)
-    Mp = -1j * (system.lengths * phases[0])[:, None] * system.sigma
-    return complex(np.trace(np.linalg.solve(mats[0], Mp)))
+    def bond(phases, mats):
+        Mp = -1j * (system.lengths * phases[0])[:, None] * system.sigma
+        return np.trace(np.linalg.solve(mats[0], Mp))
+
+    def vertex(z, s, H):
+        ds = -2j * system.lengths[:system.n_edges] * z[0] * z[0]
+        return ds @ (1.0 / s[0]) + np.linalg.solve(H[0], H[1]).trace()
+
+    if system.n_bonds < _MIN_NEWTON_BONDS:
+        return complex(bond(*_bond_matrices(system, _wavenumbers(system, [k]))))
+    return complex(_evaluate(system, [k], (), vertex, bond, derivative=True)[0])
 
 
 def smatrix_many(system: BondSystem, ks) -> np.ndarray:
@@ -323,7 +322,7 @@ def smatrix_many(system: BondSystem, ks) -> np.ndarray:
     wq = np.zeros((system.n_vertices, M))
     wq[system.anchors, leads] = system.weights[system.anchors]
 
-    def vertex(scale, H):
+    def vertex(z, s, H):
         # a stacked right-hand side: numpy < 2 reads a 2-D one as vectors
         rhs = np.broadcast_to(wq, (H.shape[0], *wq.shape))
         S = np.linalg.solve(H, rhs)[:, system.anchors, :]

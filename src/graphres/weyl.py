@@ -26,9 +26,7 @@ from .zeros import find_zeros  # kept bound: perfbench/tracer.py hooks graphres.
 WEYL = "Weyl"
 NON_WEYL = "non-Weyl"
 
-# relative gates on the fitted slope: 2% against the matching prediction is
-# asserted by tests; 5% is the consistency alarm in classify()
-SLOPE_FIT_TOL = 0.02
+# relative gate on the fitted slope: the consistency alarm in _judge()
 SLOPE_GATE = 0.05
 
 # wavenumbers R (1/m) at which count_report samples N(R) for the slope fit

@@ -554,17 +554,53 @@ class TestBatching:
             _dirichlet_band(system)[::7],
         ])
         rng.shuffle(ks)
-        # 7 vertex matrices, or 1 bond matrix, per batch
+        # 7 points per batch, on either form
         monkeypatch.setattr(graphres.scattering, "_BATCH_BYTES",
-                            7 * 16 * system.n_vertices ** 2)
-        assert graphres.scattering._batch_size(system.n_vertices) == 7
-        assert graphres.scattering._batch_size(system.n_bonds) == 1
+                            7 * 16 * system.n_bonds ** 2)
+        assert graphres.scattering._batch_size(system) == 7
         batched = secular_many(system, ks)
         single = np.array([secular_many(system, [k])[0] for k in ks])
         assert np.array_equal(batched, single)
         batched = smatrix_many(system, ks)
         single = np.array([smatrix_many(system, [k])[0] for k in ks])
         assert np.array_equal(batched, single)
+
+    def test_one_batch_size_bounds_both_forms(self, monkeypatch):
+        system = build_bond_system(fixture("nW2"))
+        rng = np.random.default_rng(3)
+        ks = np.concatenate([
+            rng.uniform(1.0, 80.0, 60) - 1j * rng.uniform(0.0, 9.0, 60),
+            np.linspace(1.0, 80.0, 60),
+            _dirichlet_band(system)[::7],
+        ])
+        monkeypatch.setattr(scattering, "_BATCH_BYTES", 7 * 16 * system.n_bonds ** 2)
+        assert scattering._batch_size(system) == 7
+        vertex, bond = scattering._vertex_matrices, scattering._bond_matrices
+        points = {"vertex": [], "bond": []}
+
+        def vertex_spy(system, z, s, derivative):
+            points["vertex"].append(z.shape[0])
+            return vertex(system, z, s, derivative)
+
+        def bond_spy(system, ks):
+            points["bond"].append(ks.size)
+            return bond(system, ks)
+
+        monkeypatch.setattr(scattering, "_vertex_matrices", vertex_spy)
+        monkeypatch.setattr(scattering, "_bond_matrices", bond_spy)
+        for evaluate in (secular_many, smatrix_many):
+            points["vertex"].clear()
+            points["bond"].clear()
+            evaluate(system, ks)
+            assert max(points["vertex"] + points["bond"]) <= 7
+            assert sum(points["vertex"]) > 0 and sum(points["bond"]) > 0
+            assert sum(points["vertex"]) + sum(points["bond"]) == ks.size
+
+    def test_no_points_give_an_empty_result(self):
+        system = build_bond_system(fixture("W1"))
+        assert secular_many(system, []).shape == (0,)
+        assert smatrix_many(system, []).shape == (0, system.n_leads, system.n_leads)
+        assert det_smatrix_modulus(system, []).shape == (0,)
 
 
 class TestExternalSMatrix:

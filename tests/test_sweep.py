@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,36 @@ class TestTrace:
         for band in ((1e9, np.inf), (1e9, np.nan)):
             with pytest.raises(ValueError):
                 sweep(systems["W1"], band, absorption=0.0)
+
+
+class TestRefinement:
+    # at absorption 1e-3 the sharpest nW1 dips over 0.3-6 GHz are steeper
+    # than the base grid resolves, so the sweep inserts midpoints
+    BAND = (0.3e9, 6e9)
+
+    def test_refines_until_no_step_reaches_the_jump(self, systems, monkeypatch):
+        # graphres.sweep is the function, so reach the module by name
+        module = importlib.import_module("graphres.sweep")
+        calls = []
+        modulus = module.det_smatrix_modulus
+
+        def spy(system, nu, absorption):
+            calls.append(np.size(nu))
+            return modulus(system, nu, absorption)
+
+        monkeypatch.setattr(module, "det_smatrix_modulus", spy)
+        trace = sweep(systems["nW1"], self.BAND, absorption=1e-3)
+        assert calls == [16385, 4]
+        assert trace.nu.size == 16389
+        assert np.all(np.diff(trace.nu) > 0.0)
+        assert np.max(np.abs(np.diff(trace.modulus))) < 0.2
+
+    def test_stops_at_the_sample_cap(self, systems, monkeypatch):
+        module = importlib.import_module("graphres.sweep")
+        monkeypatch.setattr(module, "_MAX_SAMPLES", 16386)
+        trace = sweep(systems["nW1"], self.BAND, absorption=1e-3)
+        assert trace.nu.size == 16386
+        assert np.all(np.diff(trace.nu) > 0.0)
 
 
 class TestDips:
