@@ -72,8 +72,9 @@ _MAX_EDGE_DEPTH = 1.5
 _MIN_NEWTON_BONDS = 32
 # one batch of points, on either form, holds at most this many bytes of the
 # larger matrix, bond or vertex; LAPACK works per matrix, so the batch size
-# never changes a value
-_BATCH_BYTES = 64 * 2 ** 20
+# never changes a value.  Small, so that peak memory hardly depends on how
+# many points a graph sends to the bond matrix (an 80-bond batch: 81 points)
+_BATCH_BYTES = 8 * 2 ** 20
 
 
 @dataclass(frozen=True)
