@@ -27,10 +27,15 @@ lemma and the Woodbury identity give
     det M(k) = prod_e s_e * det H(k),
     S(k) = -I_M + Q^T H(k)^-1 W Q,
 
-with Q the V x M lead-anchor incidence.  Two kinds of point are evaluated on
-M(k) itself.  The product cancels with an error of order eps/|s_e|^2, so a
-point with some ``|s_e| < 1e-2`` (a real k within about 0.005/l_e of a
-Dirichlet point n pi/l_e) is one.  The other kind exists only on a graph
+with Q the V x M lead-anchor incidence.  A lead-free vertex of two bond
+ends on two distinct edges passes a wave from one into the other with
+amplitude 1, so merging it away, and its two edges into one of their summed
+length, leaves det M and S unchanged.  The vertex form is built with every
+such vertex merged (``vertex_lengths`` are its edges); M(k) keeps the
+graph's own bonds.  Two kinds of point are evaluated on M(k) itself.  The
+product cancels with an error of order eps/|s_e|^2, so a point with some
+``|s_e| < 1e-2`` on a vertex-form edge (a real k within about 0.005/l_e of
+a Dirichlet point n pi/l_e) is one.  The other kind exists only on a graph
 with a balanced vertex (as many leads as bond ends).  H has the constant
 diagonal h0_v = (leads_v - bond ends_v)/d_v (see ``_vertex_terms``), and
 deep in the lower half-plane z/s -> 0 and 1/s -> 0, so H -> diag(h0).  With
@@ -41,14 +46,17 @@ within 4e-14 of 50-digit arithmetic down to Im k = -40.  A balanced vertex
 has no constant term, and its row of H cancels along chains of edges:
 joined to a closed vertex it gives a block determinant of order
 1/(s_1 s_2) out of terms of order 1/s_1, so the relative error grows like a
-power of ``|z_e| = e^{-Im k l_e}``.  On such a graph a point with some
-``-Im k l_e > 1.5`` is the other kind; short of that, on random connected
-graphs of up to 40 vertices and 78 edges, the vertex form stays within
-1e-13 of M(k) relative.
+power of ``|z_e| = e^{-Im k l_e}``.  The chains pass only through vertices
+of bond ends - leads = 0 or 2 (see ``_vertex_depth``), and a point below
+Im k = -1.5/l, l the longest edge they reach (``vertex_depth``), is the
+other kind.  Short of that bound, on about 4 660 random 2-5-vertex graphs
+with a balanced vertex (8 points each, down to Im k = -8), the vertex form
+stays within 5.1e-13 of M(k) relative to max(|.|, 1), for det M and S.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -62,8 +70,8 @@ from .graph import MetricGraph
 # det M, prod_e s_e nor e^{2ik l_e} is safe
 _LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
 # the vertex form loses digits below this min_e |1 - e^{2ik l_e}|, and on a
-# graph with a balanced vertex above this max_e (-Im k) l_e = log max_e
-# |e^{ik l_e}|
+# graph with a balanced vertex above this (-Im k) l = log |e^{ik l}|, l the
+# longest edge the balanced rows reach (see _vertex_depth)
 _MIN_EDGE_GAP = 1e-2
 _MAX_EDGE_DEPTH = 1.5
 # log_derivative factors H only from this bond count up: below it, solving
@@ -88,12 +96,13 @@ class BondSystem:
     lead_reflect: np.ndarray  # (M, M) lead -> lead
     weights: np.ndarray       # (V,) diagonal of W, 2/d_v
     anchors: np.ndarray       # (M,) vertex index of each lead (Q)
+    vertex_lengths: np.ndarray  # (E,) edge lengths of the vertex form, m
     # H = diag(h0) - (terms grouped by flat position in H): h0, then per
     # group its coefficient columns (z/s per edge, then -1/s per edge), the
     # index of its first term, its flat position and its row weight
     h_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    # the deepest max_e (-Im k) l_e the vertex form serves: _MAX_EDGE_DEPTH
-    # with a balanced vertex (some h0_v = 0), else every depth
+    # the deepest -Im k the vertex form serves (see _vertex_depth): finite
+    # only with a balanced vertex (some h0_v = 0)
     vertex_depth: float
 
     @property
@@ -146,30 +155,72 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
         full[rows, cols].copy() for rows in (bonds, leads) for cols in (bonds, leads)
     )
 
-    # vertex form: vertices are numbered in channel-map order, and channel c
-    # leaves vertex index[starts[c]]
-    index = {v: i for i, v in enumerate(channels)}
-    at = np.array([index[v] for v in starts], dtype=np.intp)
-    ends = at[:n].reshape(2, N).T
-    degree = np.array([len(out) for out in channels.values()])
+    # vertex form (see the module docstring): merge away every lead-free
+    # vertex of two bond ends on two distinct edges.  A merge never makes
+    # another vertex mergeable, so one pass suffices.
+    pairs = [[e.a, e.b] for e in graph.edges]
+    joined = [[l] for l in ell]
+    on = {v: [c % N for c in out if c < n] for v, out in channels.items()}
+    for v, out in channels.items():
+        if len(out) == 2 == len(on[v]) and on[v][0] != on[v][1]:
+            i, j = on[v]  # edge i takes edge j's far end y and its lengths
+            y = pairs[j][pairs[j][0] == v]
+            pairs[i][pairs[i].index(v)] = y
+            joined[i] += joined[j]
+            pairs[j] = None
+            on[y][on[y].index(j)] = i
+            del on[v]
+    # the remaining vertices are numbered in channel-map order
+    index = {v: i for i, v in enumerate(on)}
+    kept = [i for i, p in enumerate(pairs) if p is not None]
+    ends = np.array([[index[v] for v in pairs[i]] for i in kept], dtype=np.intp)
+    ends = ends.reshape(-1, 2)
+    # one rounding per merged edge: on random 2-5-vertex graphs a running
+    # sum put det M up to 1.5e-13 off the bond matrix, this 8.6e-14
+    vertex_lengths = np.array([math.fsum(joined[i]) for i in kept])
+    degree = np.array([len(channels[v]) for v in on])
+    excess = 2 * np.bincount(ends.ravel(), minlength=degree.size) - degree
     weights = 2.0 / degree
-    anchors = at[n:]
-    h_terms = _vertex_terms(ends, degree)
-    vertex_depth = np.inf if h_terms[0].all() else _MAX_EDGE_DEPTH
+    anchors = np.array([index[l.anchor] for l in graph.leads], dtype=np.intp)
+    h_terms = _vertex_terms(ends, degree, excess)
+    vertex_depth = _vertex_depth(ends, vertex_lengths, excess)
     for a in (lengths, sigma, lead_in, lead_out, lead_reflect, weights, anchors,
-              *h_terms):
+              vertex_lengths, *h_terms):
         a.setflags(write=False)
     return BondSystem(lengths, sigma, lead_in, lead_out, lead_reflect, weights,
-                      anchors, h_terms, vertex_depth)
+                      anchors, vertex_lengths, h_terms, vertex_depth)
 
 
-def _vertex_terms(ends: np.ndarray, degree: np.ndarray):
+def _vertex_depth(ends: np.ndarray, lengths: np.ndarray, excess: np.ndarray) -> float:
+    """The deepest -Im k the vertex form serves: ``_MAX_EDGE_DEPTH / l``.
+
+    A balanced vertex (bond ends - leads = 0) has no constant term, and the
+    leading deep term of its row carries ``1 + 2/(leads_a - ends_a)`` per
+    neighbour a, so it cancels only through neighbours of excess 0 or 2.
+    l is the longest edge reached from a balanced vertex through such
+    vertices; without a balanced vertex every depth is served.
+    """
+    reached = excess == 0
+    if not reached.any():
+        return np.inf
+    a, b = ends.T
+    while True:
+        edges = reached[a] | reached[b]
+        grown = np.zeros_like(reached)
+        grown[a[edges]] = grown[b[edges]] = True
+        grown &= (excess == 0) | (excess == 2)
+        if (grown == reached).all():
+            return _MAX_EDGE_DEPTH / lengths[edges].max()
+        reached = grown
+
+
+def _vertex_terms(ends: np.ndarray, degree: np.ndarray, excess: np.ndarray):
     """The constant diagonal of H and its k-dependent terms grouped by position.
 
     Writing ``-z^2/s = 1 - 1/s`` moves a constant ``2/d_v`` per bond end into
-    ``h0_v = (leads_v - bond ends_v) / d_v``, which is exactly 0 on a
-    balanced vertex, so deep in the lower half-plane, where ``z^2/s -> -1``,
-    the diagonal is not a difference of two numbers near 1.
+    ``h0_v = (leads_v - bond ends_v) / d_v = -excess_v / d_v``, which is
+    exactly 0 on a balanced vertex, so deep in the lower half-plane, where
+    ``z^2/s -> -1``, the diagonal is not a difference of two numbers near 1.
     """
     V, N = degree.size, ends.shape[0]
     a, b = ends.T
@@ -179,7 +230,7 @@ def _vertex_terms(ends: np.ndarray, degree: np.ndarray):
     order = np.argsort(flat, kind="stable")
     flat, column = flat[order], column[order]
     first = np.flatnonzero(np.diff(flat, prepend=-1))
-    h0 = (degree - 2 * np.bincount(ends.ravel(), minlength=V)) / degree
+    h0 = -excess / degree
     return h0, column, first, flat[first], 2.0 / degree[flat[first] // V]
 
 
@@ -226,7 +277,7 @@ def _vertex_matrices(system: BondSystem, z: np.ndarray, s: np.ndarray,
     inv = 1.0 / s
     coef = np.concatenate([z * inv, -inv], axis=1)
     if derivative:
-        q = 1j * system.lengths[:system.n_edges] * z * inv * inv
+        q = 1j * system.vertex_lengths * z * inv * inv
         dcoef = np.concatenate([q * (1.0 + z * z), -2.0 * q * z], axis=1)
         coef = np.concatenate([coef, dcoef])
     del inv
@@ -248,18 +299,19 @@ def _evaluate(system: BondSystem, ks, shape, vertex, bond,
     """``vertex(z, s, H)`` at each point, or ``bond(e^{ikL}, M)`` where it must.
 
     The one loop over points: ``_batch_size(system)`` points at a time.  A
-    point with some ``-Im k l_e > system.vertex_depth`` is left for the
-    bond matrix before its phases are taken, and one with some ``|s_e| <
-    _MIN_EDGE_GAP`` before any division.  A batch's vertex work is done and
-    freed before its bond matrices are built, so the two never coexist.
+    point with ``-Im k > system.vertex_depth`` is left for the bond matrix
+    before its phases are taken, and one with some ``|s_e| <
+    _MIN_EDGE_GAP`` on a vertex-form edge before any division.  A batch's
+    vertex work is done and freed before its bond matrices are built, so
+    the two never coexist.
     """
     ks = _wavenumbers(system, ks)
-    ell = system.lengths[:system.n_edges]
+    ell = system.vertex_lengths
     out = np.empty((ks.size, *shape), dtype=complex)
     step = _batch_size(system)
     for lo in range(0, ks.size, step):
         batch, part = ks[lo:lo + step], out[lo:lo + step]
-        served = -batch.imag * ell.max(initial=0.0) <= system.vertex_depth
+        served = -batch.imag <= system.vertex_depth
         z = np.exp(1j * batch[served, None] * ell)
         s = 1.0 - z * z
         near = (np.abs(s) < _MIN_EDGE_GAP).any(axis=1)
@@ -301,7 +353,7 @@ def log_derivative(system: BondSystem, k: complex) -> complex:
         return np.trace(np.linalg.solve(mats[0], Mp))
 
     def vertex(z, s, H):
-        ds = -2j * system.lengths[:system.n_edges] * z[0] * z[0]
+        ds = -2j * system.vertex_lengths * z[0] * z[0]
         return ds @ (1.0 / s[0]) + np.linalg.solve(H[0], H[1]).trace()
 
     if system.n_bonds < _MIN_NEWTON_BONDS:

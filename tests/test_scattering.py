@@ -307,9 +307,13 @@ VERTEX_GRAPHS = {
 }
 
 
-def _dirichlet_band(system):
-    """k = n pi / l_e + delta, delta = 1e-3 .. 1e-12: the bond-matrix points."""
-    ell = system.lengths[:system.n_edges]
+def _dirichlet_band(system, ell=None):
+    """k = n pi / l_e + delta, delta = 1e-3 .. 1e-12: the bond-matrix points.
+
+    ``ell`` defaults to the graph's edges; the bond matrix takes these
+    points for the vertex form's own edges, ``system.vertex_lengths``.
+    """
+    ell = system.lengths[:system.n_edges] if ell is None else ell
     return np.array([n * np.pi / l + d for l in ell for n in (1, 5, 40)
                      for d in 10.0 ** -np.arange(3, 13)])
 
@@ -352,6 +356,37 @@ class TestVertexReduction:
         # the oracle here
         system = build_bond_system(VERTEX_GRAPHS[name])
         _assert_reduction(system, _dirichlet_band(system), _bond_smatrix)
+
+
+class TestMergedChains:
+    """A lead-free vertex of two bond ends leaves the vertex form."""
+
+    # vertex 2 joins the 0.1 m and 0.2 m edges into the other graph's 0.3 m one
+    CHAIN = MetricGraph(
+        (1, 2, 3, 4),
+        (Edge(1, 1, 2, 0.1), Edge(2, 2, 3, 0.2), Edge(3, 3, 4, 0.35), Edge(4, 4, 3, 0.4)),
+        (Lead(1, 1), Lead(2, 4)),
+    )
+    MERGED = MetricGraph(
+        (1, 3, 4),
+        (Edge(1, 1, 3, 0.3), Edge(3, 3, 4, 0.35), Edge(4, 4, 3, 0.4)),
+        (Lead(1, 1), Lead(2, 4)),
+    )
+
+    def test_the_chain_and_its_merged_graph_agree(self):
+        chain, merged = build_bond_system(self.CHAIN), build_bond_system(self.MERGED)
+        assert chain.n_vertices == merged.n_vertices == 3
+        rng = np.random.default_rng(5)
+        ks = np.concatenate([rng.uniform(1.0, 400.0, 200) - 1j * rng.uniform(0.0, 8.0, 200),
+                             np.linspace(0.5, 400.0, 801)])
+        for evaluate in (secular_many, smatrix_many):
+            got, want = evaluate(chain, ks), evaluate(merged, ks)
+            size = np.maximum(np.abs(want).reshape(ks.size, -1).max(axis=1), 1.0)
+            assert np.all(np.abs(got - want).reshape(ks.size, -1).max(axis=1) <= 1e-12 * size)
+
+    def test_vertex_counts(self):
+        assert build_bond_system(VERTEX_GRAPHS["triangle"]).n_vertices == 1
+        assert build_bond_system(LOG_DERIVATIVE_GRAPHS["balanced-41"]).n_vertices == 19
 
 
 def _bond_log_derivative(system, k):
@@ -439,14 +474,24 @@ class TestLogDerivativeVertexForm:
         assert _balanced(graph)
         system = build_bond_system(graph)
         assert system.n_bonds >= scattering._MIN_NEWTON_BONDS
-        ell = system.lengths[:system.n_edges]
-        deep = [complex(re, -1.01 * scattering._MAX_EDGE_DEPTH / ell.max())
-                for re in (3.0, 40.0, 200.0)]
-        near = list(_dirichlet_band(system)[::25])
+        deep = [complex(re, -1.01 * system.vertex_depth) for re in (3.0, 40.0, 200.0)]
+        near = list(_dirichlet_band(system, system.vertex_lengths)[::25])
         for k in deep + near:
             assert log_derivative(system, k) == pytest.approx(
                 _bond_log_derivative(system, k), rel=1e-12)
         assert bond_points == deep + near
+        # the bound over every edge is shallower: the points between the
+        # two stay on the vertex form
+        ell = system.lengths[:system.n_edges]
+        bound = scattering._MAX_EDGE_DEPTH / ell.max()
+        assert bound < system.vertex_depth
+        between = [complex(re, -im) for re in (3.0, 40.0, 200.0)
+                   for im in (1.01 * bound, 0.99 * system.vertex_depth)]
+        bond_points.clear()
+        for k in between:
+            assert log_derivative(system, k) == pytest.approx(
+                _bond_log_derivative(system, k), rel=1e-12)
+        assert not bond_points
 
     @pytest.mark.parametrize("name", ["W1", "random-40"])
     def test_deep_points_without_a_balanced_vertex_stay_off_the_bond_path(
@@ -510,6 +555,16 @@ def test_vertex_reduction_deep_without_a_balanced_vertex(graph, re, im):
     _assert_reduction(build_bond_system(graph), np.array([complex(re, im)]))
 
 
+@given(small_graphs(), st.floats(1.0, 100.0), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_vertex_reduction_down_to_the_depth_bound(graph, re, fraction):
+    # with a balanced vertex the vertex form serves down to vertex_depth
+    assume(_balanced(graph))
+    system = build_bond_system(graph)
+    im = -0.05 - fraction * (min(8.0, system.vertex_depth) - 0.05)
+    _assert_reduction(system, np.array([complex(re, im)]))
+
+
 def _mp_secular(system, k):
     """``det(I - e^{ikL} Sigma)`` in 50-digit arithmetic.
 
@@ -528,15 +583,38 @@ def _mp_secular(system, k):
         return complex(mpmath.det(mat))
 
 
-@pytest.mark.parametrize("name", ["W1", "triangle"])
-@pytest.mark.parametrize("im", [-8.0, -40.0])
+@pytest.mark.parametrize("name, im", [
+    pytest.param(name, im, id=f"{im}-{name}")
+    for name, im in [("W1", -8.0), ("W1", -40.0), ("triangle", -8.0),
+                     ("triangle", -40.0), ("nW1", -8.0)]
+])
 def test_deep_vertex_form_against_50_digits(name, im, bond_points):
-    graph = VERTEX_GRAPHS[name]
-    assert not _balanced(graph)
-    system = build_bond_system(graph)
+    # W1 and the triangle have no balanced vertex; nW1's lies behind edges
+    # short enough for the vertex form to serve its whole box
+    system = build_bond_system(VERTEX_GRAPHS[name])
+    assert -im <= system.vertex_depth
     ks = np.array([complex(re, im) for re in (3.0, 37.3, 211.9)])
     got = secular_many(system, ks)
     assert not bond_points
+    want = np.array([_mp_secular(system, k) for k in ks])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+def test_balanced_pendant_behind_a_lead_free_chain_against_50_digits():
+    # vertex 7 is balanced, and the path 4-2-1-3-5-6-7 merges into one
+    # 5.14 m edge, so the vertex form serves only Im k >= -0.29.  A bound
+    # from the 1 m edges alone lost 1.3e-11 at Im k = -1.49.
+    graph = MetricGraph(
+        tuple(range(1, 8)),
+        (Edge(1, 1, 2, 0.3), Edge(2, 1, 3, 1.0), Edge(3, 2, 4, 0.8438922877457612),
+         Edge(4, 3, 5, 1.0), Edge(5, 5, 6, 1.0), Edge(6, 6, 7, 1.0)),
+        (Lead(1, 4), Lead(2, 4), Lead(3, 7)),
+    )
+    system = build_bond_system(graph)
+    assert system.n_vertices == 2
+    ks = np.array([77.39290065763844 - 1.4905806608184788j,
+                   *(complex(re, im) for re in (10.0, 47.7, 120.0) for im in (-1.2, -1.45))])
+    got = secular_many(system, ks)
     want = np.array([_mp_secular(system, k) for k in ks])
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
