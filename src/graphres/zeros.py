@@ -12,9 +12,11 @@ at every R, and sums the windings of the sub-strips.
 
 Both cut a box through ``_strips``, which samples the cuts with the new sides
 of the parts in one batched call and moves a cut that runs through a zero.
-The four sides of a root box are one batch as well.  Each refinement round of
-a batch is one more secular call, so the number of calls, not of points,
-falls; the values are those of sampling each side alone.
+The four sides of a root box are one batch as well, and a side through a zero
+moves outward, never onto k = 0.  Each refinement round of a batch is one
+more secular call, so the number of calls, not of points, falls; the values
+are those of sampling each side alone.  A segment is a ``(z0, z1)`` pair, and
+a caller knows a failing one by its position in the batch.
 """
 
 from __future__ import annotations
@@ -44,11 +46,7 @@ class SolverError(RuntimeError):
 
 
 class BoundaryProximityError(SolverError):
-    """A box side passes too close to a zero; the side index is attached."""
-
-    def __init__(self, side: int, message: str):
-        super().__init__(message)
-        self.side = side
+    """A sampled segment passes too close to a zero."""
 
 
 @dataclass(frozen=True)
@@ -128,17 +126,18 @@ class ZeroSet:
 
 
 def _sample(system: BondSystem, segments):
-    """Sample ``(z0, z1, side)`` segments until phase steps stay below pi/2.
+    """Sample ``(z0, z1)`` segments until phase steps stay below pi/2.
 
     Returns each segment's ``(t, f)``, or the :class:`BoundaryProximityError`
-    it hit.  The first grids of all segments go into one secular call, and
-    each refinement round puts the midpoints of every segment still refining
-    into one more; the values are those of sampling each segment alone.
+    it hit, in the order of ``segments``.  The first grids of all segments go
+    into one secular call, and each refinement round puts the midpoints of
+    every segment still refining into one more; the values are those of
+    sampling each segment alone.
     """
     # first guess from the generic phase speed ~ 2 * total length
     speed = 2.0 * float(np.sum(system.lengths[: system.n_edges]))
     n0 = [int(min(4097, max(17, 8.0 * abs(z1 - z0) * speed / np.pi)))
-          for z0, z1, _ in segments]
+          for z0, z1 in segments]
     grids = {n: np.linspace(0.0, 1.0, n) for n in set(n0)}  # shared: never written
     t = [grids[n] for n in n0]
     f = _secular_at(system, segments, t)
@@ -147,20 +146,19 @@ def _sample(system: BondSystem, segments):
     while active:
         refine, mids = [], []
         for i in active:
-            side = segments[i][2]
             if np.any(np.abs(f[i]) < _ABS_FLOOR):
-                out[i] = BoundaryProximityError(side, "secular vanishes on the boundary")
+                out[i] = BoundaryProximityError("secular vanishes on the boundary")
                 continue
             idx = np.nonzero(np.abs(_phase_steps(f[i])) >= _PHASE_CAP)[0]
             if not idx.size:
                 out[i] = t[i], f[i]
             elif np.any(t[i][idx + 1] - t[i][idx] < _MIN_SEGMENT):
                 out[i] = BoundaryProximityError(
-                    side, "phase refinement collapsed: a zero sits on the boundary"
+                    "phase refinement collapsed: a zero sits on the boundary"
                 )
             elif t[i].size + idx.size > _MAX_SIDE_SAMPLES:
                 out[i] = BoundaryProximityError(
-                    side, f"side refinement exceeded {_MAX_SIDE_SAMPLES} samples"
+                    f"side refinement exceeded {_MAX_SIDE_SAMPLES} samples"
                 )
             else:
                 refine.append((i, idx))
@@ -177,17 +175,8 @@ def _secular_at(system, segments, t):
     """Secular values at parameters ``t[i]`` along each segment, in one call."""
     if not segments:
         return []
-    ks = np.concatenate([z0 + (z1 - z0) * ti for (z0, z1, _), ti in zip(segments, t)])
+    ks = np.concatenate([z0 + (z1 - z0) * ti for (z0, z1), ti in zip(segments, t)])
     return np.split(secular_many(system, ks), np.cumsum([ti.size for ti in t[:-1]]))
-
-
-def _sides(system: BondSystem, segments) -> list[np.ndarray]:
-    """Secular samples along each segment; raises the first error in order."""
-    out = _sample(system, segments)
-    for result in out:
-        if isinstance(result, BoundaryProximityError):
-            raise result
-    return [f for _, f in out]
 
 
 def _phase_steps(f: np.ndarray) -> np.ndarray:
@@ -201,9 +190,9 @@ def _phase_steps(f: np.ndarray) -> np.ndarray:
 
 
 def _segment(box: SearchBox, side: int):
-    """One side of the box as a segment ``(z0, z1, side)``, run counterclockwise."""
+    """Side ``side`` (bottom, right, top, left) as ``(z0, z1)``, counterclockwise."""
     c = box.corners
-    return c[side], c[(side + 1) % 4], side
+    return c[side], c[(side + 1) % 4]
 
 
 def _span(box: SearchBox, axis: int, lo: float, hi: float) -> SearchBox:
@@ -221,7 +210,8 @@ def _strips(system, box, sides, axis, cuts):
     ``1 + axis`` of the part below, in one batch with the parts' sides, and
     used reversed by the part above; the end parts keep the box sides they
     inherit whole, so each part samples only its two sides along ``axis``.
-    A cut through a zero moves up by 1e-6 of the box span, dropping every cut
+    The cuts lead the batch, so a failing cut is known by its position.  A
+    cut through a zero moves up by 1e-6 of the box span, dropping every cut
     it reaches (all the rest once it reaches the far edge), and the batch is
     sampled again, at most five times in all.
     """
@@ -244,9 +234,7 @@ def _strips(system, box, sides, axis, cuts):
                 moved.append(x)
         cuts = moved
     else:
-        raise BoundaryProximityError(
-            1 + axis, f"cut still near a zero after {_MAX_NUDGES} nudges"
-        )
+        raise BoundaryProximityError(f"cut still near a zero after {_MAX_NUDGES} nudges")
     for result in sampled:
         if isinstance(result, BoundaryProximityError):
             raise result
@@ -285,7 +273,7 @@ def count_zeros(system: BondSystem, box: SearchBox) -> int:
     """Number of secular zeros inside the box, by the argument principle.
 
     Sides passing near a zero are nudged outward by 1e-6 of the box span, at
-    most five times per search.
+    most five times per search, but a left edge is never moved onto k = 0.
     """
     count, *_ = _winding_nudged(system, box)
     return count
@@ -297,27 +285,32 @@ def _winding_nudged(system: BondSystem, box: SearchBox):
     # compact graphs have a purely real spectrum: lift a top edge that runs
     # exactly along the real axis before it collides with every eigenvalue
     if system.n_leads == 0 and box.im_max == 0.0:
-        box = SearchBox(box.re_min, box.re_max, box.im_min,
-                        _NUDGE * (box.im_max - box.im_min))
+        box = _nudge(box, 2)
     for _ in range(_MAX_NUDGES):
-        try:
-            sides = _sides(system, [_segment(box, side) for side in range(4)])
+        sampled = _sample(system, [_segment(box, side) for side in range(4)])
+        near = [isinstance(r, BoundaryProximityError) for r in sampled]
+        if not any(near):
+            sides = [f for _, f in sampled]
             return (*_loop_winding(sides), box, sides)
-        except BoundaryProximityError as err:
-            box = _nudge(box, err.side)
+        box = _nudge(box, near.index(True))
     raise SolverError(f"boundary still near a zero after {_MAX_NUDGES} nudges")
 
 
 def _nudge(box: SearchBox, side: int) -> SearchBox:
-    dx = _NUDGE * (box.re_max - box.re_min)
-    dy = _NUDGE * (box.im_max - box.im_min)
-    if side == 0:
-        return SearchBox(box.re_min, box.re_max, box.im_min - dy, box.im_max)
-    if side == 1:
-        return SearchBox(box.re_min, box.re_max + dx, box.im_min, box.im_max)
-    if side == 2:
-        return SearchBox(box.re_min, box.re_max, box.im_min, box.im_max + dy)
-    return SearchBox(box.re_min - dx, box.re_max, box.im_min, box.im_max)
+    """The box with ``side`` (bottom, right, top, left) moved outward by 1e-6
+    of the box's extent across it.
+
+    A left edge right of k = 0 is not moved onto or past it: the secular
+    function has a zero of high order there, which no nudge clears.
+    """
+    axis = 1 - side % 2
+    lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
+    shift = _NUDGE * (hi - lo)
+    if side in (1, 2):
+        return _span(box, axis, lo, hi + shift)
+    if side == 3 and lo > 0.0 >= lo - shift:
+        raise SolverError(f"left edge at Re k = {lo!r} would move past k = 0")
+    return _span(box, axis, lo - shift, hi)
 
 
 def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:

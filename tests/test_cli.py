@@ -1,12 +1,17 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphres import dump_graph, interval
+from graphres import (DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, FIXTURE_NAMES,
+                      build_bond_system, dump_graph, fixture, interval, sweep)
 from graphres.cli import main
 
 from conftest import EXPECTED_COUNTS
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 CABLE_INTERVAL = """\
 [cable]
@@ -234,6 +239,27 @@ class TestCount:
         assert len(body) == 100
         r = np.array([float(row.split(",")[0]) for row in body])
         assert np.all(np.diff(r) > 0)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+class TestBenchmarkReference:
+    """The fixture outputs that the benchmark checks against ``reference.json``."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(REFERENCE.read_text(encoding="utf-8"))
+
+    def test_classify_output_is_the_reference(self, capsys, reference, name):
+        code, out, err = run(capsys, "classify", "--fixture", name)
+        assert code == 0, err
+        assert out == reference["classify"][name]
+
+    def test_sweep_dips_are_the_reference(self, reference, name):
+        band = tuple(ghz * 1e9 for ghz in DEFAULT_BAND_GHZ)
+        trace = sweep(build_bond_system(fixture(name)), band, DEFAULT_ABSORPTION)
+        want = reference["sweep_dips_hz"][name]
+        assert len(trace.dips) == len(want)
+        assert all(abs(d.nu - nu) <= 1e-9 * nu for d, nu in zip(trace.dips, want))
 
 
 class TestFailureModes:

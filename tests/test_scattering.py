@@ -349,13 +349,19 @@ class TestVertexReduction:
         ks = np.linspace(0.5, 400.0, 801)
         _assert_reduction(build_bond_system(VERTEX_GRAPHS[name]), ks)
 
-    def test_dirichlet_band_uses_the_bond_matrix(self, name):
+    def test_dirichlet_band_uses_the_bond_matrix(self, name, bond_points):
         # several of these graphs have embedded eigenvalues at common
         # Dirichlet points, where S is a removable singularity and the two
         # bond orientations disagree; the bond matrix's own orientation is
         # the oracle here
         system = build_bond_system(VERTEX_GRAPHS[name])
         _assert_reduction(system, _dirichlet_band(system), _bond_smatrix)
+        # the bond matrix takes over at the Dirichlet points of the vertex
+        # form's own (merged) edges; W1 and nW1 repeat a length, so as sets
+        near = _dirichlet_band(system, system.vertex_lengths)
+        bond_points.clear()
+        _assert_reduction(system, near, _bond_smatrix)
+        assert set(near.tolist()) <= set(np.asarray(bond_points).tolist())
 
 
 class TestMergedChains:

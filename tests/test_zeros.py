@@ -96,6 +96,27 @@ class TestCounting:
         system = build_bond_system(interval(30.0))
         assert count_zeros(system, SearchBox(0.05, 2.0, -8.0, 0.0)) == 19
 
+    def test_bottom_edge_through_a_zero_moves_down(self, systems):
+        # the bottom edge runs exactly through this reference zero of W1
+        zero = complex(16.825755091440058, -0.8890841257805226)
+        box = SearchBox(zero.real - 1.0, zero.real + 1.0, zero.imag, 0.0)
+        count, _, used, _ = zeros._winding_nudged(systems["W1"], box)
+        assert used == SearchBox(box.re_min, box.re_max,
+                                 zero.imag - 1e-6 * -zero.imag, 0.0)
+        lower = SearchBox(box.re_min, box.re_max, zero.imag - 1e-3, 0.0)
+        assert count == count_zeros(systems["W1"], lower) == 1
+
+    def test_a_left_edge_never_moves_onto_k_zero(self):
+        # det M vanishes to order E - V + 1 = 39 at k = 0, and underflows
+        # next to it on the box's left edge; moving that edge left by 1e-6
+        # of the span would put k = 0 inside the box
+        lengths = np.random.default_rng(0).uniform(0.05, 0.3, 40)
+        graph = MetricGraph((1, 2), tuple(Edge(i + 1, 1, 2, float(length))
+                                          for i, length in enumerate(lengths)),
+                            (Lead(1, 1),))
+        with pytest.raises(SolverError, match="k = 0"):
+            count_zeros(build_bond_system(graph), SearchBox(1e-9, 2.0, -0.5, 0.0))
+
     @given(st.floats(0.5, 2.0))
     @settings(max_examples=15, deadline=None)
     def test_interval_count_matches_closed_form(self, length):
@@ -156,6 +177,37 @@ class TestFindZeros:
         ks = sorted(r.k.real for r in zs.resonances)
         assert len(ks) == 3
         assert ks[0] == pytest.approx(np.pi, abs=1e-10)
+
+    def test_right_edge_through_a_zero_moves_right(self, neumann):
+        # the right edge runs exactly through the zero at 3 pi
+        box = SearchBox(1.0, 3 * np.pi, -0.5, 0.0)
+        *_, used, _ = zeros._winding_nudged(neumann, box)
+        # the compact graph's top is lifted off the real axis first
+        assert used == SearchBox(1.0, 3 * np.pi + 1e-6 * (3 * np.pi - 1.0),
+                                 -0.5, 1e-6 * 0.5)
+        ks = [r.k for r in find_zeros(neumann, box)]
+        assert ks == pytest.approx([np.pi, 2 * np.pi, 3 * np.pi], abs=1e-10)
+
+    def test_duplicate_zeros_from_two_leaves_count_once(self, neumann, monkeypatch):
+        # every leaf polishes to the same zero: the dedup keeps one, which
+        # falls short of the root winding
+        monkeypatch.setattr(zeros, "_newton",
+                            lambda system, box, scale: zeros.Resonance(5.0 + 0j, 0.0))
+        with pytest.raises(SolverError,
+                           match="located 1 zeros but the boundary winding says 3"):
+            find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
+
+    def test_no_clean_split_line_is_a_solver_error(self, neumann, monkeypatch):
+        fractions = []
+
+        def near(system, box, sides, axis, cuts):
+            fractions.append((cuts[0] - box.re_min) / (box.re_max - box.re_min))
+            raise zeros.BoundaryProximityError("on a zero")
+
+        monkeypatch.setattr(zeros, "_strips", near)
+        with pytest.raises(SolverError, match="no clean split line"):
+            find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
+        assert fractions == pytest.approx(zeros._SPLIT_FRACTIONS, abs=1e-12)
 
     def test_split_line_through_a_zero_moves_off_it(self, neumann, monkeypatch):
         # the first split line, at the box's middle Re k = 2 pi, runs through
@@ -221,7 +273,7 @@ def sampled_segments(monkeypatch):
     sample = zeros._sample
 
     def spy(system, segments):
-        for z0, z1, _ in segments:
+        for z0, z1 in segments:
             seen[frozenset((z0, z1))] += 1
         return sample(system, segments)
 
@@ -274,6 +326,14 @@ class TestSamplingOnce:
         assert len(calls) < 100
 
 
+def _sides(system, box):
+    """The box's four sides sampled in one batch; raises the first boundary error."""
+    out = zeros._sample(system, [zeros._segment(box, side) for side in range(4)])
+    for error in (r for r in out if isinstance(r, zeros.BoundaryProximityError)):
+        raise error
+    return [f for _, f in out]
+
+
 def _alone(system, segments):
     """Each segment sampled in a batch of its own."""
     return [zeros._sample(system, [segment])[0] for segment in segments]
@@ -281,8 +341,7 @@ def _alone(system, segments):
 
 def _same_result(a, b) -> bool:
     if isinstance(a, zeros.BoundaryProximityError):
-        return (isinstance(b, zeros.BoundaryProximityError)
-                and (a.side, str(a)) == (b.side, str(b)))
+        return isinstance(b, zeros.BoundaryProximityError) and str(a) == str(b)
     return (not isinstance(b, zeros.BoundaryProximityError)
             and all(np.array_equal(x, y) for x, y in zip(a, b)))
 
@@ -292,15 +351,12 @@ class TestBatchedSampler:
         # the left side of this box runs through the zero at pi
         box = SearchBox(np.pi, 10.0, -0.5, 0.2)
         segments = [zeros._segment(box, side) for side in (0, 3, 1)]
-        bottom, left, right = zeros._sample(neumann, segments)
-        assert isinstance(left, zeros.BoundaryProximityError)
-        assert left.side == 3
-        for got, want in zip((bottom, right), _alone(neumann, segments[::2])):
+        out = zeros._sample(neumann, segments)
+        assert [isinstance(r, zeros.BoundaryProximityError) for r in out] == [
+            False, True, False]
+        for got, want in zip(out[::2], _alone(neumann, segments[::2])):
             assert _same_result(got, want)
             assert got[0][0] == 0.0 and got[0][-1] == 1.0
-        with pytest.raises(zeros.BoundaryProximityError) as err:
-            zeros._sides(neumann, segments)
-        assert err.value.side == 3
 
     def test_no_segments(self, neumann):
         assert zeros._sample(neumann, []) == []
@@ -346,22 +402,21 @@ class TestCountingFunction:
                                                                monkeypatch):
         # every sampling of the first cut reports a zero on it: it moves by
         # 9e-6, dropping the cut it reaches, for five batches in all, and then
-        # the error names the cut's side
+        # the cut is a boundary error
         batches = []
         sample = zeros._sample
 
         def near(system, segments):
             batches.append((segments[0][0].real, len(segments)))
             out = sample(system, segments)
-            out[0] = zeros.BoundaryProximityError(segments[0][2], "on a zero")
+            out[0] = zeros.BoundaryProximityError("on a zero")
             return out
 
         box = SearchBox(1.0, 10.0, -0.5, 0.2)
-        sides = zeros._sides(neumann, [zeros._segment(box, side) for side in range(4)])
+        sides = _sides(neumann, box)
         monkeypatch.setattr(zeros, "_sample", near)
-        with pytest.raises(zeros.BoundaryProximityError) as err:
+        with pytest.raises(zeros.BoundaryProximityError, match="cut still near a zero"):
             zeros._strips(neumann, box, sides, 0, [4.0, 4.000001, 7.0])
-        assert err.value.side == 1
         assert [x for x, _ in batches] == pytest.approx(
             [4.0 + 9e-6 * n for n in range(5)], abs=1e-12)
         assert [n for _, n in batches] == [3 + 2 * 4] + [2 + 2 * 3] * 4
@@ -430,7 +485,7 @@ class TestStripHelperProperties:
         lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
         mid = lo + (hi - lo) * frac
         try:
-            sides = zeros._sides(system, [zeros._segment(box, side) for side in range(4)])
+            sides = _sides(system, box)
             halves = zeros._strips(system, box, sides, axis, [mid])
         except zeros.BoundaryProximityError:
             assume(False)
@@ -447,11 +502,11 @@ _POINTS = st.builds(complex, st.floats(0.5, 30.0), st.floats(-3.0, 0.5))
 
 class TestBatchedSamplerProperties:
     @given(small_open_graphs(),
-           st.lists(st.tuples(_POINTS, _POINTS, st.integers(0, 3)), min_size=1, max_size=6))
+           st.lists(st.tuples(_POINTS, _POINTS), min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_batch_equals_each_segment_alone(self, graph, segments):
         system = build_bond_system(graph)
-        segments = [(z0, z1, side) for z0, z1, side in segments if z0 != z1]
+        segments = [(z0, z1) for z0, z1 in segments if z0 != z1]
         batched = zeros._sample(system, segments)
         assert len(batched) == len(segments)
         for got, want in zip(batched, _alone(system, segments)):
