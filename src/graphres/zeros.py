@@ -13,10 +13,12 @@ at every R, and sums the windings of the sub-strips.
 Both cut a box through ``_strips``, which samples the cuts with the new sides
 of the parts in one batched call and moves a cut that runs through a zero.
 The four sides of a root box are one batch as well, and a side through a zero
-moves outward, never onto k = 0.  Each refinement round of a batch is one
-more secular call, so the number of calls, not of points, falls; the values
-are those of sampling each side alone.  A segment is a ``(z0, z1)`` pair, and
-a caller knows a failing one by its position in the batch.
+moves outward, never onto k = 0.  A root top on or above the real axis goes up
+to Im k = 1, and every side winds f (conj k/|k|)^beta, beta the order of the
+zero at k = 0.  Each refinement round of a batch is one more secular call, so
+the number of calls, not of points, falls; the values are those of sampling
+each side alone.  A segment is a ``(z0, z1)`` pair, and a caller knows a
+failing one by its position in the batch.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .constants import C0, STRIP_DEPTH
 from .scattering import BondSystem, log_derivative, secular_many
 
 _MAX_SIDE_SAMPLES = 2 ** 20
+_K_MIN = 1e-9                # left edge of a strip from k = 0, which stays outside
 _ABS_FLOOR = 1e-290          # |f| below this counts as "on a zero"
 _MIN_SEGMENT = 1e-13         # relative to the side length
 _PHASE_CAP = np.pi / 2       # a single step may not approach a branch jump
@@ -71,7 +74,7 @@ class SearchBox:
             raise ValueError(f"bad band ({nu_min}, {nu_max})")
         if not depth > 0.0:
             raise ValueError(f"depth must be positive, got {depth}")
-        k_lo = max(2.0 * np.pi * nu_min / C0, 1e-9)  # keep k = 0 outside
+        k_lo = max(2.0 * np.pi * nu_min / C0, _K_MIN)
         return cls(k_lo, 2.0 * np.pi * nu_max / C0, -depth, 0.0)
 
     @property
@@ -172,11 +175,18 @@ def _sample(system: BondSystem, segments):
 
 
 def _secular_at(system, segments, t):
-    """Secular values at parameters ``t[i]`` along each segment, in one call."""
+    """``f (conj k/|k|)^beta`` at ``t[i]`` along each segment, in one call."""
     if not segments:
         return []
     ks = np.concatenate([z0 + (z1 - z0) * ti for (z0, z1), ti in zip(segments, t)])
-    return np.split(secular_many(system, ks), np.cumsum([ti.size for ti in t[:-1]]))
+    # det M vanishes to order beta at k = 0: E - V + 1 over the n vertices with
+    # edges, plus 1 if none has a lead.  The factor winds 0 round a box without
+    # k = 0; a wrong beta leaves a swing there, which a side may alias
+    h0 = system.h_terms[0]  # 1 on a vertex of leads only, below 1 on the others
+    n = np.count_nonzero(h0 < 1.0)
+    beta = n and system.vertex_lengths.size - n + 1 + bool(np.all(h0[system.anchors] == 1.0))
+    f = secular_many(system, ks) * np.exp(-1j * beta * np.angle(ks))
+    return np.split(f, np.cumsum([ti.size for ti in t[:-1]]))
 
 
 def _phase_steps(f: np.ndarray) -> np.ndarray:
@@ -272,8 +282,8 @@ def _loop_winding(sides) -> tuple[int, float]:
 def count_zeros(system: BondSystem, box: SearchBox) -> int:
     """Number of secular zeros inside the box, by the argument principle.
 
-    Sides passing near a zero are nudged outward by 1e-6 of the box span, at
-    most five times per search, but a left edge is never moved onto k = 0.
+    A top on or above the real axis goes up to Im k = 1.  A side near a zero moves
+    out by 1e-6 of the span, at most five times, but a left edge never onto k = 0.
     """
     count, *_ = _winding_nudged(system, box)
     return count
@@ -282,10 +292,10 @@ def count_zeros(system: BondSystem, box: SearchBox) -> int:
 def _winding_nudged(system: BondSystem, box: SearchBox):
     """Winding count with the nudge policy: (count, max |secular| on the
     boundary, the box actually used, its sampled sides)."""
-    # compact graphs have a purely real spectrum: lift a top edge that runs
-    # exactly along the real axis before it collides with every eigenvalue
-    if system.n_leads == 0 and box.im_max == 0.0:
-        box = _nudge(box, 2)
+    # the Kirchhoff Laplacian is self-adjoint and nonnegative, so det M has
+    # no zeros above the real axis: a top there clears the real eigenvalues
+    if box.im_max >= 0.0:
+        box = _span(box, 1, box.im_min, max(box.im_max, 1.0))
     for _ in range(_MAX_NUDGES):
         sampled = _sample(system, [_segment(box, side) for side in range(4)])
         near = [isinstance(r, BoundaryProximityError) for r in sampled]
@@ -298,11 +308,8 @@ def _winding_nudged(system: BondSystem, box: SearchBox):
 
 def _nudge(box: SearchBox, side: int) -> SearchBox:
     """The box with ``side`` (bottom, right, top, left) moved outward by 1e-6
-    of the box's extent across it.
-
-    A left edge right of k = 0 is not moved onto or past it: the secular
-    function has a zero of high order there, which no nudge clears.
-    """
+    of the box's extent across it, but never a left edge onto or past k = 0,
+    where the secular function has a zero of high order that no nudge clears."""
     axis = 1 - side % 2
     lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
     shift = _NUDGE * (hi - lo)
@@ -322,14 +329,11 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
     """
     total, scale, box, sides = _winding_nudged(system, box)
     found: list[Resonance] = []
-    if total:
-        _subdivide(system, box, sides, total, scale, 0, found)
-    found.sort(key=lambda r: (r.k.real, r.k.imag))
+    _subdivide(system, box, sides, total, scale, 0, found)
     kept: list[Resonance] = []
-    for r in found:
-        if kept and abs(r.k - kept[-1].k) < _DEDUP_RADIUS:
-            continue
-        kept.append(r)
+    for r in sorted(found, key=lambda r: (r.k.real, r.k.imag)):
+        if not kept or abs(r.k - kept[-1].k) >= _DEDUP_RADIUS:
+            kept.append(r)
     if len(kept) != total:
         raise SolverError(
             f"located {len(kept)} zeros but the boundary winding says {total}"
@@ -371,12 +375,10 @@ def _subdivide(system, box, sides, count, scale, depth, out):
 def _newton(system, box, scale):
     """Newton via the logarithmic derivative: the accepted zero with its
     residual |secular(k)|, or None to signal 'shrink the box'."""
-    k = complex(
-        0.5 * (box.re_min + box.re_max), 0.5 * (box.im_min + box.im_max)
-    )
+    k = complex(0.5 * (box.re_min + box.re_max),
+                min(0.0, 0.5 * (box.im_min + box.im_max)))  # no zero lies above
     margin = max(box.re_max - box.re_min, box.im_max - box.im_min)
-    prev = np.inf
-    grew = 0
+    prev, grew = np.inf, 0
     for _ in range(80):
         try:
             ld = log_derivative(system, k)
@@ -407,7 +409,7 @@ def _newton(system, box, scale):
 
 
 def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
-    """Cumulative zero counts N(R) over strips [0, R] x [-depth, 0].
+    """Cumulative zero counts N(R) over strips [0, R] x [-depth, 1].
 
     ``R_values`` must be positive and ascending.  The spectral point k = 0 is
     excluded (it is not a resonance).  No zero is located: the root strip up
@@ -421,7 +423,7 @@ def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
     R = np.asarray(R_values, dtype=float)
     if R.size == 0 or np.any(R <= 0.0) or np.any(np.diff(R) <= 0.0):
         raise ValueError("R_values must be positive and strictly ascending")
-    root = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
+    root = SearchBox(_K_MIN, float(R[-1]), -depth, 0.0)
     total, _, root, sides = _winding_nudged(system, root)
     inside = [float(r) for r in R[:-1] if r > root.re_min]
     strips = _strips(system, root, sides, 0, inside)

@@ -12,6 +12,7 @@ from graphres.cli import main
 from conftest import EXPECTED_COUNTS
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 CABLE_INTERVAL = """\
 [cable]
@@ -128,6 +129,26 @@ class TestClassify:
         assert code == 4
         assert "classification error" in err
 
+
+    @pytest.mark.parametrize("name, output", [
+        ("g1-e30", "g1-e30,0.3,2.2,66,68.64,66.55,1.670453,non-Weyl\n"
+                   "# balanced_vertex=15 shortest_edge=30 ell_s=0.164986\n"),
+        ("g1-e40", "g1-e40,0.3,2.2,84,85.73,85.73,2.152270,Weyl\n"),
+    ])
+    def test_generated_graph_classifies(self, capsys, name, output):
+        # seed-1 graphs of the generated-large benchmark workload
+        code, out, err = run(capsys, "classify", "--graph", str(DATA / f"{name}.graph"))
+        assert code == 0, err
+        assert out == CLASSIFY_HEADER + "\n" + output
+
+    def test_compact_triangle_classifies_weyl(self, capsys, tmp_path):
+        # its double eigenvalues 2 pi n / L lie on the real axis, inside the
+        # strip that goes up to Im k = 1, and each counts twice: slope L/pi
+        path = tmp_path / "triangle.graph"
+        path.write_text("[edges]\n1 1 2 0.3\n2 2 3 0.2\n3 3 1 0.5\n")
+        code, out, err = run(capsys, "classify", "--graph", str(path))
+        assert code == 0, err
+        assert rows(out)[1] == ["triangle,0.3,2.2,13,12.68,12.68,0.318291,Weyl"]
 
     def test_graph_without_resonances_classifies(self, capsys, tmp_path):
         # one edge, one lead: the balanced vertex removes the whole length,

@@ -22,17 +22,57 @@ from graphres import (
     find_zeros,
     fixture,
     interval,
+    load_graph,
+    secular_many,
 )
 from graphres.weyl import FIT_GRID
 
 from conftest import EXPECTED_COUNTS
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
 def neumann():
     return build_bond_system(interval(1.0))
+
+
+@pytest.fixture(scope="module")
+def parallel_edges():
+    """40 parallel edges between two vertices, one lead: det M vanishes to
+    order E - V + 1 = 39 at k = 0."""
+    lengths = np.random.default_rng(0).uniform(0.05, 0.3, 40)
+    graph = MetricGraph((1, 2), tuple(Edge(i + 1, 1, 2, float(length))
+                                      for i, length in enumerate(lengths)),
+                        (Lead(1, 1),))
+    return build_bond_system(graph)
+
+
+def _data_system(name):
+    return build_bond_system(load_graph(DATA / f"{name}.graph"))
+
+
+def _dense_winding(system, box, n=2 ** 14):
+    """(winding number of det M round the box, largest phase step) from n
+    samples per side, unwrapped with numpy.  The left side takes n more
+    samples evenly spaced in arg k, which resolve the zero at k = 0 however
+    close the side passes to it."""
+    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    c = box.corners
+    fan = box.re_min * (1.0 + 1j * np.tan(np.linspace(np.angle(c[3]), np.angle(c[0]), n)))
+    left = np.concatenate([c[3] + (c[0] - c[3]) * t, fan])
+    ks = np.concatenate([c[i] + (c[i + 1] - c[i]) * t for i in range(3)]
+                        + [left[np.argsort(-left.imag)], c[:1]])
+    phase = np.unwrap(np.angle(secular_many(system, ks)))
+    return (phase[-1] - phase[0]) / (2.0 * np.pi), np.abs(np.diff(phase)).max()
+
+
+def _circle_winding(system, r, n=2 ** 12):
+    """Winding number of det M round |k| = r, from n samples."""
+    ks = r * np.exp(2j * np.pi * np.arange(n + 1) / n)
+    phase = np.unwrap(np.angle(secular_many(system, ks)))
+    return (phase[-1] - phase[0]) / (2.0 * np.pi)
 
 
 class TestSearchBox:
@@ -97,25 +137,42 @@ class TestCounting:
         assert count_zeros(system, SearchBox(0.05, 2.0, -8.0, 0.0)) == 19
 
     def test_bottom_edge_through_a_zero_moves_down(self, systems):
-        # the bottom edge runs exactly through this reference zero of W1
+        # the bottom edge runs exactly through this reference zero of W1; the
+        # top goes up to Im k = 1 first, so the bottom moves by 1e-6 of that
         zero = complex(16.825755091440058, -0.8890841257805226)
         box = SearchBox(zero.real - 1.0, zero.real + 1.0, zero.imag, 0.0)
         count, _, used, _ = zeros._winding_nudged(systems["W1"], box)
         assert used == SearchBox(box.re_min, box.re_max,
-                                 zero.imag - 1e-6 * -zero.imag, 0.0)
+                                 zero.imag - 1e-6 * (1.0 - zero.imag), 1.0)
         lower = SearchBox(box.re_min, box.re_max, zero.imag - 1e-3, 0.0)
         assert count == count_zeros(systems["W1"], lower) == 1
 
     def test_a_left_edge_never_moves_onto_k_zero(self):
-        # det M vanishes to order E - V + 1 = 39 at k = 0, and underflows
-        # next to it on the box's left edge; moving that edge left by 1e-6
-        # of the span would put k = 0 inside the box
-        lengths = np.random.default_rng(0).uniform(0.05, 0.3, 40)
-        graph = MetricGraph((1, 2), tuple(Edge(i + 1, 1, 2, float(length))
-                                          for i, length in enumerate(lengths)),
-                            (Lead(1, 1),))
+        # det M vanishes to a high order at k = 0, which no nudge clears:
+        # moving this left edge by 1e-6 of the span would put k = 0 inside
         with pytest.raises(SolverError, match="k = 0"):
-            count_zeros(build_bond_system(graph), SearchBox(1e-9, 2.0, -0.5, 0.0))
+            zeros._nudge(SearchBox(1e-9, 2.0, -0.5, 0.0), 3)
+
+    def test_a_left_edge_next_to_a_zero_of_order_39_counts(self, parallel_edges):
+        # det M vanishes to order E - V + 1 = 39 at k = 0; the sides wind
+        # f (conj k/|k|)^39, which takes that zero's phase out of the left side
+        assert count_zeros(parallel_edges, SearchBox(1e-9, 2.0, -0.5, 0.0)) == 0
+
+    def test_boxes_next_to_a_zero_of_order_39_split_cleanly(self, parallel_edges):
+        # sampled without the factor, a left side 1e-3 from that zero aliases
+        # into phantom zeros, which no split line separates
+        assert len(find_zeros(parallel_edges, SearchBox(1e-3, 2.0, -0.5, 0.0))) == 0
+
+    @pytest.mark.parametrize("name", ["W1", "nW2", "g1-e20", "g1-e30"])
+    def test_no_phantom_zeros_next_to_k_zero(self, systems, name):
+        # below Re k = 2 no graph here has a zero; g1-e20 has one and g1-e30
+        # two with Re k in (5, 6), which a dense winding confirms
+        system = systems[name] if name in systems else _data_system(name)
+        below_6 = {"g1-e20": 1, "g1-e30": 2}.get(name, 0)
+        table = counting_function(system, [0.5, 1.0, 2.0, 6.0])
+        assert [n for _, n in table] == [0, 0, 0, below_6]
+        winding, _ = _dense_winding(system, SearchBox(zeros._K_MIN, 6.0, -STRIP_DEPTH, 1.0))
+        assert winding == pytest.approx(below_6, abs=1e-6)
 
     @given(st.floats(0.5, 2.0))
     @settings(max_examples=15, deadline=None)
@@ -182,9 +239,9 @@ class TestFindZeros:
         # the right edge runs exactly through the zero at 3 pi
         box = SearchBox(1.0, 3 * np.pi, -0.5, 0.0)
         *_, used, _ = zeros._winding_nudged(neumann, box)
-        # the compact graph's top is lifted off the real axis first
+        # the top goes up to Im k = 1 first, clear of the real zeros
         assert used == SearchBox(1.0, 3 * np.pi + 1e-6 * (3 * np.pi - 1.0),
-                                 -0.5, 1e-6 * 0.5)
+                                 -0.5, 1.0)
         ks = [r.k for r in find_zeros(neumann, box)]
         assert ks == pytest.approx([np.pi, 2 * np.pi, 3 * np.pi], abs=1e-10)
 
@@ -286,11 +343,13 @@ class TestSamplingOnce:
         self, systems, band_box, sampled_segments
     ):
         find_zeros(systems["W1"], band_box)
-        c = band_box.corners
+        # the box searched: the band's top on the real axis goes up to Im k = 1
+        box = SearchBox(band_box.re_min, band_box.re_max, band_box.im_min, 1.0)
+        c = box.corners
         for side in range(4):
             assert sampled_segments[frozenset((c[side], c[(side + 1) % 4]))] == 1
-        mid = band_box.re_min + (band_box.re_max - band_box.re_min) * 0.5
-        split = frozenset((complex(mid, band_box.im_min), complex(mid, band_box.im_max)))
+        mid = box.re_min + (box.re_max - box.re_min) * 0.5
+        split = frozenset((complex(mid, box.im_min), complex(mid, box.im_max)))
         assert sampled_segments[split] == 1
 
     def test_counting_samples_no_line_twice(self, systems, sampled_segments):
@@ -433,7 +492,7 @@ class TestCountingFunction:
 def _located_counts(system, R, depth=STRIP_DEPTH):
     """N(R) by the definition the strip counter replaced: locate every zero
     of the root strip, then count positions Re k <= R."""
-    box = SearchBox(1e-9, float(R[-1]), -depth, 0.0)
+    box = SearchBox(zeros._K_MIN, float(R[-1]), -depth, 0.0)
     positions = np.array([r.k.real for r in find_zeros(system, box)])
     return list(np.searchsorted(positions, R, side="right"))
 
@@ -468,7 +527,7 @@ class TestStripCounterProperties:
         system = build_bond_system(graph)
         R = np.linspace(r_max / n, r_max, n)
         counts = [c for _, c in counting_function(system, R)]
-        root = SearchBox(1e-9, r_max, -STRIP_DEPTH, 0.0)
+        root = SearchBox(zeros._K_MIN, r_max, -STRIP_DEPTH, 0.0)
         assert counts[-1] == count_zeros(system, root)
         assert counts == sorted(counts)
 
@@ -511,3 +570,84 @@ class TestBatchedSamplerProperties:
         assert len(batched) == len(segments)
         for got, want in zip(batched, _alone(system, segments)):
             assert _same_result(got, want)
+
+
+def _graph(edges, leads=(), vertices=None):
+    """A graph from ``(a, b, length)`` edges and lead anchors."""
+    ends = {v for a, b, _ in edges for v in (a, b)} | set(leads)
+    return MetricGraph(tuple(vertices or sorted(ends)),
+                       tuple(Edge(i + 1, a, b, l) for i, (a, b, l) in enumerate(edges)),
+                       tuple(Lead(i + 1, v) for i, v in enumerate(leads)))
+
+
+# graph, and the order of det M's zero at k = 0: E - V + 1 over the vertices
+# with edges, one more if none of them has a lead
+ORDER_AT_K_ZERO = {
+    "tree": (_graph([(1, 2, 0.3), (2, 3, 0.4), (2, 4, 0.2)], leads=(1, 3)), 0),
+    "star, one lead": (_graph([(1, 2, 0.3), (1, 3, 0.5), (1, 4, 0.2)], leads=(2,)), 0),
+    "self-loop": (_graph([(1, 1, 0.4), (1, 2, 0.3)], leads=(2,)), 1),
+    "multi-edge": (_graph([(1, 2, 0.2), (1, 2, 0.3), (1, 2, 0.45)], leads=(1,)), 2),
+    "cycle with a pendant": (_graph([(1, 2, 0.3), (2, 3, 0.2), (3, 1, 0.5),
+                                     (3, 4, 0.25)], leads=(4,)), 1),
+    "compact interval": (_graph([(1, 2, 0.7)]), 1),
+    "compact triangle": (_graph([(1, 2, 0.3), (2, 3, 0.2), (3, 1, 0.5)]), 2),
+    "compact loop": (_graph([(1, 1, 0.6)]), 2),
+    "compact multi-edge": (_graph([(1, 2, 0.3), (1, 2, 0.5)]), 2),
+    "compact triangle beside a leads-only vertex": (
+        _graph([(1, 2, 0.3), (2, 3, 0.2), (3, 1, 0.5)], leads=(4,)), 2),
+    "leads only, one vertex": (_graph([], leads=(1, 1)), 0),
+    "leads only, two vertices": (_graph([], leads=(1, 2)), 0),
+}
+
+
+class TestOrderAtKZero:
+    @pytest.mark.parametrize("name", ORDER_AT_K_ZERO)
+    def test_the_sides_factor_takes_out_the_zero_at_k_zero(self, name):
+        graph, order = ORDER_AT_K_ZERO[name]
+        system = build_bond_system(graph)
+        r = 0.05
+        for radius in (r, r / 2):
+            assert _circle_winding(system, radius) == pytest.approx(order, abs=1e-6)
+        # f (conj k/|k|)^beta winds 0 round k = 0 only if beta is that order
+        ks = r * np.exp(2j * np.pi * np.arange(2 ** 12 + 1) / 2 ** 12)
+        f = np.concatenate(zeros._secular_at(system, list(zip(ks[:-1], ks[1:])),
+                                             [np.zeros(1)] * 2 ** 12))
+        assert np.abs(zeros._phase_steps(np.append(f, f[0])).sum()) < 1e-6
+
+    def test_a_leads_only_vertex_is_left_out_of_the_order(self):
+        # det M vanishes to order 2 at k = 0 on this compact triangle, but
+        # E - V + 1 over all four vertices says 0: wound with that, the left
+        # side aliases the 2 pi swing next to k = 0 into a seventh zero.  The
+        # double eigenvalues 2 pi n lie on the real axis.
+        graph, _ = ORDER_AT_K_ZERO["compact triangle beside a leads-only vertex"]
+        system = build_bond_system(graph)
+        winding, _ = _dense_winding(system, SearchBox(zeros._K_MIN, 20.0, -4.0, 1.0))
+        assert winding == pytest.approx(6, abs=1e-6)
+        assert count_zeros(system, SearchBox(zeros._K_MIN, 20.0, -4.0, 0.0)) == 6
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected graphs on 1-4 vertices: a path plus up to two edges between
+    any two vertices (chords, self-loops, multi-edges), with 0-2 leads."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(1, n)
+    ends = [(v, v + 1) for v in range(1, n)]
+    ends += draw(st.lists(st.tuples(vertex, vertex), min_size=int(n == 1), max_size=2))
+    edges = [(a, b, draw(st.floats(0.1, 1.0))) for a, b in ends]
+    return _graph(edges, leads=draw(st.lists(vertex, max_size=2)),
+                  vertices=range(1, n + 1))
+
+
+class TestCountAgainstDenseWinding:
+    @given(small_graphs(), st.floats(1e-9, 29.0), st.floats(0.02, 1.0),
+           st.floats(-4.0, -0.1))
+    @settings(max_examples=20, deadline=None)
+    def test_count_equals_a_dense_winding_up_to_im_k_1(self, graph, re_min, frac,
+                                                        im_min):
+        system = build_bond_system(graph)
+        re_max = re_min + frac * (30.0 - re_min)
+        winding, step = _dense_winding(system, SearchBox(re_min, re_max, im_min, 1.0))
+        assume(step < np.pi / 4)  # no zero so near a side that the samples miss it
+        assert winding == pytest.approx(round(winding), abs=1e-6)
+        assert count_zeros(system, SearchBox(re_min, re_max, im_min, 0.0)) == round(winding)
