@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     except ClassificationError as exc:
         print(f"classification error: {exc}", file=sys.stderr)
         return 4
-    except (SolverError, OverflowError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

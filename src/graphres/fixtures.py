@@ -43,8 +43,8 @@ def interval(length: float = 1.0, leads: int = 0) -> MetricGraph:
     """A single edge with 0, 1, or 2 leads -- the closed-form test cases.
 
     * 0 leads: spectrum k = n pi / length exactly.
-    * 1 lead: the bond matrix is strictly triangular, so the secular
-      function is identically 1 and there are no resonances at all.
+    * 1 lead: Sigma is strictly triangular, so det M is identically 1, the
+      secular function e^{-2ik length}, and there are no resonances at all.
     * 2 leads: a perfect transmission line, S off-diagonal with phase
       e^{ik length}.
     """

@@ -175,17 +175,14 @@ def _sample(system: BondSystem, segments):
 
 
 def _secular_at(system, segments, t):
-    """``f (conj k/|k|)^beta`` at ``t[i]`` along each segment, in one call."""
+    """``f (conj k/|k|)^beta``, beta ``system.order_at_zero``, at ``t[i]``
+    along each segment, in one call."""
     if not segments:
         return []
     ks = np.concatenate([z0 + (z1 - z0) * ti for (z0, z1), ti in zip(segments, t)])
-    # det M vanishes to order beta at k = 0: E - V + 1 over the n vertices with
-    # edges, plus 1 if none has a lead.  The factor winds 0 round a box without
-    # k = 0; a wrong beta leaves a swing there, which a side may alias
-    h0 = system.h_terms[0]  # 1 on a vertex of leads only, below 1 on the others
-    n = np.count_nonzero(h0 < 1.0)
-    beta = n and system.vertex_lengths.size - n + 1 + bool(np.all(h0[system.anchors] == 1.0))
-    f = secular_many(system, ks) * np.exp(-1j * beta * np.angle(ks))
+    # the factor winds 0 round a box without k = 0; a wrong beta leaves a
+    # swing there, which a side may alias
+    f = secular_many(system, ks) * np.exp(-1j * system.order_at_zero * np.angle(ks))
     return np.split(f, np.cumsum([ti.size for ti in t[:-1]]))
 
 

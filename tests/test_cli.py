@@ -319,22 +319,13 @@ class TestFailureModes:
         assert "depth must be positive" in err
         assert out == ""
 
-    def test_overflowing_depth_exits_3(self, capsys):
-        # |det M| may reach e^799 at Im k = -400 on W1's 0.999 m of edges
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run(capsys, "resonances", "--fixture", "W1",
-                                 "--depth", "400", "--fmin-ghz", "1", "--fmax-ghz", "1.1")
-        assert code == 3
-        assert "beyond double precision" in err
-        assert out == ""
-
-    def test_deep_box_within_double_range_solves(self, capsys):
+    @staticmethod
+    def _assert_deep_box_finds_the_default_depth_zeros(capsys, depth):
         band = ("--fmin-ghz", "1", "--fmax-ghz", "1.1")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, _ = run(capsys, "resonances", "--fixture", "W1",
-                               "--depth", "120", *band)
+                               "--depth", depth, *band)
         assert code == 0
         # the band's zeros all lie above Im k = -8; Newton starts elsewhere
         _, deep = rows(out)
@@ -343,6 +334,21 @@ class TestFailureModes:
         for a, b in zip(deep, shallow):
             k = [complex(*map(float, r.split(",")[:2])) for r in (a, b)]
             assert abs(k[0] - k[1]) < 1e-12
+
+    def test_depth_400_finds_the_default_depth_zeros(self, capsys):
+        # det M would reach e^799 at Im k = -400 on W1's 0.999 m of edges;
+        # the secular function F = e^{-2ikL} det M stays bounded there
+        self._assert_deep_box_finds_the_default_depth_zeros(capsys, "400")
+
+    def test_deep_box_within_double_range_solves(self, capsys):
+        self._assert_deep_box_finds_the_default_depth_zeros(capsys, "120")
+
+    def test_a_graph_of_60_m_solves(self, capsys):
+        # L = 60.3 m: det M would reach e^965 at the default depth
+        code, out, err = run(capsys, "resonances", "--graph", str(DATA / "tri60.graph"),
+                             "--fmin-ghz", "1", "--fmax-ghz", "1.01")
+        assert code == 0, err
+        assert len(rows(out)[1]) == 4
 
     @pytest.mark.parametrize("command", ["resonances", "classify", "count"])
     def test_absorption_is_a_sweep_option(self, capsys, command):

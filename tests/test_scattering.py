@@ -118,14 +118,17 @@ class TestBondSystem:
 
 class TestSecular:
     def test_neumann_interval_closed_form(self):
+        # F = e^{-2ikL} det M
         s = build_bond_system(interval(1.0))
         ks = np.linspace(0.3, 12.0, 23) - 0.2j
-        assert np.allclose(secular_many(s, ks), 1.0 - np.exp(2j * ks), atol=1e-12)
+        want = (1.0 - np.exp(2j * ks)) * np.exp(-2j * ks)
+        assert np.allclose(secular_many(s, ks), want, atol=1e-12)
 
     def test_lead_interval_is_identically_one(self):
+        # det M = e^{2ikL} F is identically 1
         s = build_bond_system(interval(1.0, leads=1))
         ks = np.linspace(0.1, 60.0, 50) - 1.0j * np.linspace(0.0, 3.0, 50)
-        assert np.allclose(secular_many(s, ks), 1.0, atol=1e-12)
+        assert np.allclose(np.exp(2j * ks) * secular_many(s, ks), 1.0, atol=1e-12)
 
     def test_value_at_zero_wavenumber(self):
         for name in FIXTURE_NAMES:
@@ -133,18 +136,13 @@ class TestSecular:
             expected = np.linalg.det(np.eye(s.n_bonds) - s.sigma)
             assert secular(s, 0.0) == pytest.approx(expected, abs=1e-12)
 
-    def test_overflow_guard(self):
+    @pytest.mark.parametrize("k", [10.0 - 400.0j, 10.0 - 4000.0j])
+    def test_far_below_the_axis_against_50_digits(self, k):
+        # |det M| would grow like e^{-2 Im k L} = e^799 and e^7992 on W1's
+        # 0.999 m; F = e^{-2ikL} det M stays bounded
         s = build_bond_system(fixture("W1"))
-        with pytest.raises(OverflowError):
-            secular(s, 10.0 - 4000.0j)
-
-    def test_overflow_guard_bounds_the_whole_determinant(self):
-        # at Im k = -400 no edge's e^{ik l} passes e^90, but |det M| grows
-        # like e^{-2 Im k L} = e^799 on W1's 0.999 m; at -340 like e^679
-        s = build_bond_system(fixture("W1"))
-        with pytest.raises(OverflowError, match="beyond double precision"):
-            secular(s, 10.0 - 400.0j)
-        assert np.isfinite(secular(s, 10.0 - 340.0j))
+        want = _mp_secular(s, k)
+        assert abs(secular(s, k) - want) <= 1e-13 * max(abs(want), 1.0)
 
     def test_a_graph_of_600_edges_is_evaluated_at_real_k(self, bond_points):
         # nothing grows on the real axis, however many edges the graph has
@@ -194,10 +192,16 @@ class TestLogDerivative:
     @given(st.floats(1.0, 40.0), st.floats(-1.5, -0.05))
     @settings(max_examples=25, deadline=None)
     def test_matches_finite_differences(self, re, im):
+        # log_derivative is (det M)'/det M, det M = e^{2ikL} F
         s = build_bond_system(fixture("nW2"))
+        L = s.lengths[:s.n_edges].sum()
+
+        def det_m(k):
+            return np.exp(2j * k * L) * secular(s, k)
+
         k = complex(re, im)
         h = 1e-6
-        fd = (secular(s, k + h) - secular(s, k - h)) / (2.0 * h * secular(s, k))
+        fd = (det_m(k + h) - det_m(k - h)) / (2.0 * h * det_m(k))
         assert log_derivative(s, k) == pytest.approx(fd, rel=1e-6)
 
     def test_nilpotent_derivative_vanishes(self):
@@ -270,9 +274,8 @@ class TestAgainstReference:
 
 
 def _bond_secular(system, k):
-    """``det(I - e^{ikL} Sigma)`` on the 2N x 2N bond matrix."""
-    phases = np.exp(1j * k * system.lengths)
-    return np.linalg.det(np.eye(system.n_bonds) - phases[:, None] * system.sigma)
+    """``F(k) = det(e^{-ikL} - Sigma)`` on the 2N x 2N bond matrix."""
+    return np.linalg.det(np.diag(np.exp(-1j * k * system.lengths)) - system.sigma)
 
 
 def _bond_smatrix(system, k):
@@ -321,7 +324,7 @@ def _dirichlet_band(system, ell=None):
 def _assert_reduction(system, ks, oracle_smatrix=_reference_smatrix):
     """The vertex form against the bond-matrix oracles at the points ``ks``.
 
-    The determinant is compared relative to max(|det M|, 1): at a real-axis
+    The determinant F is compared relative to max(|F|, 1): at a real-axis
     eigenvalue of a compact graph both forms keep only absolute accuracy.
     S is compared to 1e-12 absolute, relative to |S| where |S| > 1 (deep in
     the lower half-plane S grows like e^{|Im k| l}).
@@ -338,7 +341,7 @@ def _assert_reduction(system, ks, oracle_smatrix=_reference_smatrix):
 
 @pytest.mark.parametrize("name", list(VERTEX_GRAPHS))
 class TestVertexReduction:
-    """``det M = prod_e s_e det H`` and ``S = -I + Q^T H^-1 W Q`` match M(k)."""
+    """``F = prod_e s_e det H`` and ``S = -I + Q^T H^-1 W Q`` match the bond matrix."""
 
     def test_random_lower_half_plane(self, name):
         rng = np.random.default_rng(7)
@@ -572,7 +575,7 @@ def test_vertex_reduction_down_to_the_depth_bound(graph, re, fraction):
 
 
 def _mp_secular(system, k):
-    """``det(I - e^{ikL} Sigma)`` in 50-digit arithmetic.
+    """``F(k) = det(e^{-ikL} - Sigma)`` in 50-digit arithmetic.
 
     Sigma's entries are ``2/d - delta``, recovered exactly as fractions;
     the lengths and k are taken as the doubles the library sees.
@@ -580,12 +583,12 @@ def _mp_secular(system, k):
     with mpmath.workdps(50):
         n = system.n_bonds
         k = mpmath.mpc(k.real, k.imag)
-        mat = mpmath.eye(n)
+        mat = mpmath.zeros(n)
         for b in range(n):
-            z = mpmath.exp(1j * k * mpmath.mpf(system.lengths[b]))
+            mat[b, b] = mpmath.exp(-1j * k * mpmath.mpf(system.lengths[b]))
             for c in np.flatnonzero(system.sigma[b]):
                 x = Fraction(system.sigma[b, c]).limit_denominator(1000)
-                mat[b, c] -= z * mpmath.mpf(x.numerator) / x.denominator
+                mat[b, c] -= mpmath.mpf(x.numerator) / x.denominator
         return complex(mpmath.det(mat))
 
 

@@ -54,7 +54,7 @@ def _data_system(name):
 
 
 def _dense_winding(system, box, n=2 ** 14):
-    """(winding number of det M round the box, largest phase step) from n
+    """(winding number of F round the box, largest phase step) from n
     samples per side, unwrapped with numpy.  The left side takes n more
     samples evenly spaced in arg k, which resolve the zero at k = 0 however
     close the side passes to it."""
@@ -69,7 +69,7 @@ def _dense_winding(system, box, n=2 ** 14):
 
 
 def _circle_winding(system, r, n=2 ** 12):
-    """Winding number of det M round |k| = r, from n samples."""
+    """Winding number of F round |k| = r, from n samples."""
     ks = r * np.exp(2j * np.pi * np.arange(n + 1) / n)
     phase = np.unwrap(np.angle(secular_many(system, ks)))
     return (phase[-1] - phase[0]) / (2.0 * np.pi)
@@ -131,10 +131,23 @@ class TestCounting:
                 assert count_zeros(systems[name], box) == expected
 
     def test_long_edge_phase_steps_do_not_overflow(self):
-        # |secular| reaches ~e^480 at Im k = -8 on a 30 m edge, beyond the
-        # square root of the largest double; zeros n pi / 30 with n = 1..19
+        # |secular| reaches ~e^60 at Im k = 1 on a 30 m edge, and |det M|
+        # would reach e^480 at Im k = -8; zeros n pi / 30 with n = 1..19
         system = build_bond_system(interval(30.0))
         assert count_zeros(system, SearchBox(0.05, 2.0, -8.0, 0.0)) == 19
+
+    def test_an_edge_of_50_m_counts(self):
+        # |det M| would reach e^800 at Im k = -8; zeros n pi / 50, n = 1..31
+        system = build_bond_system(interval(50.0))
+        assert count_zeros(system, SearchBox(0.05, 2.0, -8.0, 0.0)) == 31
+
+    def test_a_graph_of_60_m_counts_like_a_dense_winding(self):
+        system = _data_system("tri60")
+        box = SearchBox.from_band(1.0e9, 1.01e9)
+        zs = find_zeros(system, box)
+        winding, _ = _dense_winding(system, zeros._span(box, 1, box.im_min, 1.0))
+        assert len(zs) == count_zeros(system, box) == 4
+        assert winding == pytest.approx(4, abs=1e-6)
 
     def test_bottom_edge_through_a_zero_moves_down(self, systems):
         # the bottom edge runs exactly through this reference zero of W1; the
@@ -201,6 +214,17 @@ class TestFindZeros:
         for zs in band_zeros.values():
             for r in zs.resonances:
                 assert r.residual < 1e-8 * zs.boundary_scale
+
+    @pytest.mark.parametrize("name, count, bound", [("g1-e40", 15, 1e7), ("W1", 3, 100.0)],
+                             ids=["g1-e40", "W1"])
+    def test_the_residual_gate_has_a_bounded_scale(self, systems, name, count, bound):
+        # Newton accepts |secular(k)| up to 1e-10 of the root boundary's
+        # maximum; det M's e^{-2 Im k L} growth put that at 3.6e46 on g1-e40
+        # (1.5e6 on W1), so the gate accepted any k
+        system = systems[name] if name in systems else _data_system(name)
+        zs = find_zeros(system, SearchBox.from_band(1.0e9, 1.3e9))
+        assert len(zs) == count
+        assert zs.boundary_scale < bound
 
     def test_zeros_in_lower_half_plane(self, band_zeros):
         for zs in band_zeros.values():
