@@ -2,13 +2,16 @@
 
 A metric graph here is a finite network of 1-D segments joined at vertices,
 optionally opened to scattering by attaching semi-infinite leads.  All lengths
-are optical lengths in meters.
+are optical lengths in meters.  The effective size L_eff, which sets the
+resonance density, is exact: the leading term of the secular polynomial.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .constants import C0
@@ -81,6 +84,8 @@ class MetricGraph:
             seen_leads.add(l.id)
             if l.anchor not in vset:
                 problems.append(f"lead {l.id} anchored at missing vertex {l.anchor}")
+        if not (self.edges or self.leads):
+            problems.append("graph has neither edges nor leads")
         if not problems and self.edges and not _connected(self):
             problems.append("internal part of the graph is disconnected")
         if problems:
@@ -145,13 +150,8 @@ class BalanceReport:
 
 def balance_report(graph: MetricGraph) -> BalanceReport:
     """Per-vertex lead/edge balance; a self-loop adds 2 to the internal degree."""
-    deg = {v: 0 for v in graph.vertices}
-    nlead = {v: 0 for v in graph.vertices}
-    for e in graph.edges:
-        deg[e.a] += 1
-        deg[e.b] += 1
-    for l in graph.leads:
-        nlead[l.anchor] += 1
+    deg = Counter([e.a for e in graph.edges] + [e.b for e in graph.edges])
+    nlead = Counter(l.anchor for l in graph.leads)
     records = tuple(
         VertexBalance(v, deg[v], nlead[v]) for v in sorted(graph.vertices)
     )
@@ -168,22 +168,72 @@ def balance_report(graph: MetricGraph) -> BalanceReport:
 
 
 def effective_size(graph: MetricGraph) -> float:
-    """Length governing the leading resonance-count coefficient.
+    """Length L_eff governing the leading resonance-count coefficient: ``L -
+    1/2 min{sum_e d_e l_e}`` over the nonzero ``prod_e w_e^{d_e}`` coefficients
+    of ``F(w) = det(diag(w) - Sigma)``, ``w_e = e^{-ik l_e}`` (Lipovsky, J.
+    Phys. A 49 (2016) 375202).  A coefficient sums the principal minors of
+    Sigma that keep 2 - d_e bonds of each edge e, in integers (bond rows
+    scaled by vertex degree); d is searched best-first on the edges of
+    :func:`_near_balanced`."""
+    L, N, near = total_length(graph), len(graph.edges), _near_balanced(graph)
+    if not near:  # no balanced vertex: det Sigma = prod_v det sigma_v != 0
+        return L
+    start = [e.a for e in graph.edges] + [e.b for e in graph.edges]
+    end, leads = start[N:] + start[:N], Counter(l.anchor for l in graph.leads)
+    deg = [start.count(v) + leads[v] for v in start]
+    rows = [[2 * (end[c] == start[b]) - deg[b] * (c == (b + N) % (2 * N))
+             for c in range(2 * N)] for b in range(2 * N)]
 
-    Equals the total length L when no vertex is balanced.  With exactly one
-    balanced vertex it is L - l_s, where l_s is the shortest edge emanating
-    from that vertex.  With several balanced vertices the per-vertex shortest
-    edges are all subtracted -- a heuristic extension beyond the single-vertex
-    theory, reported with a warning.
-    """
-    cuts = balance_report(graph).shortest_edges
-    if len(cuts) > 1:
-        warnings.warn(
-            "multiple balanced vertices: effective size uses the per-vertex "
-            "shortest-edge heuristic and may be unreliable",
-            stacklevel=2,
-        )
-    return total_length(graph) - sum(length for _, _, length in cuts)
+    def coefficient(d):  # times prod(deg); bonds that start at a vertex more
+        # often than they end there leave a non-square block: a zero minor
+        keeps = itertools.product(*(itertools.combinations((e, e + N), 2 - k)
+                                    for e, k in enumerate(d)))
+        return sum(_det([[rows[i][j] for j in kept] for i in kept])
+                   * (math.prod(deg) // math.prod(deg[b] for b in kept))
+                   for kept in (sum(k, ()) for k in keeps)
+                   if Counter(start[b] for b in kept) == Counter(end[b] for b in kept))
+
+    # d = 2 on near edges is nonzero: its far blocks (2/deg)J - I are singular only in the closure
+    heap = [(0.0, (0,) * N)]
+    while True:
+        cost, d = heapq.heappop(heap)
+        if cost and coefficient(d):  # d = 0 is det Sigma = 0
+            return L - 0.5 * cost
+        last = max((e for e in near if d[e]), default=-1)  # each d comes once
+        for e in (e for e in near if e >= last and d[e] < 2):
+            up = d[:e] + (d[e] + 1,) + d[e + 1:]
+            heapq.heappush(heap, (math.fsum(x * f.length for x, f in zip(up, graph.edges)), up))
+
+
+def _near_balanced(graph: MetricGraph) -> list[int]:
+    """Indices of the edges that touch the closure of the balanced vertices,
+    which takes in each vertex of excess (bond ends - leads) 2j with j ends on
+    such edges: without those it has as many ends as leads."""
+    excess = {r.vertex: r.internal_degree - r.lead_count
+              for r in balance_report(graph).per_vertex}
+    reached = {v for v, x in excess.items() if x == 0}
+    while True:
+        near = [i for i, e in enumerate(graph.edges) if reached & {e.a, e.b}]
+        ends = Counter(v for i in near for v in (graph.edges[i].a, graph.edges[i].b))
+        grown = {v for v, x in excess.items() if x % 2 == 0 and 0 <= x <= 2 * ends[v]}
+        if grown == reached:
+            return near
+        reached = grown
+
+
+def _det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination in place."""
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        a[k], a[p], sign = a[p], a[k], sign if p == k else -sign
+        for row in a[k + 1:]:
+            row[k + 1:] = [(x * a[k][k] - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], a[k][k + 1:])]
+        prev = a[k][k]
+    return sign * prev
 
 
 def optical_length(geometric_length: float, cable: CableSpec) -> float:

@@ -4,7 +4,8 @@ For an open graph the number of resonances with Re k <= R grows like
 ``(L_eff / pi) R + O(1)``.  The coefficient carries the headline physics:
 it equals the total length L unless the graph has a balanced vertex (as many
 leads as internal edges), in which case the shorter effective size takes
-over and resonances go missing.
+over and resonances go missing.  :func:`effective_size` gives L_eff
+exactly, so the class is non-Weyl exactly when L_eff < L.
 
 :func:`count_report` reads both the band count and the slope from one
 certified :func:`counting_function` table and locates no zeros.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, STRIP_DEPTH
-from .graph import MetricGraph, balance_report, effective_size, total_length
+from .graph import MetricGraph, effective_size, total_length
 from .scattering import build_bond_system
 from .zeros import SearchBox, counting_function
 from .zeros import find_zeros  # kept bound: perfbench/tracer.py hooks graphres.weyl.find_zeros
@@ -78,14 +79,14 @@ def fit_slope(counts) -> tuple[float, float, float]:
     return float(slope), float(intercept), residual
 
 
-def _judge(graph: MetricGraph, l_eff: float, fitted_slope: float) -> tuple[str, float]:
-    """Geometric class and the slope's relative error against ``l_eff / pi``.
+def _judge(total: float, l_eff: float, fitted_slope: float) -> tuple[str, float]:
+    """Class and the slope's relative error against ``l_eff / pi``.
 
-    ``l_eff`` is the effective size, which is the total length on a Weyl
-    graph.  A graph of effective size 0 has no resonances, so a flat fit
+    A balanced vertex makes the effective size shorter than the total
+    length.  A graph of effective size 0 has no resonances, so a flat fit
     meets it exactly.
     """
-    geometric = NON_WEYL if balance_report(graph).balanced_vertices else WEYL
+    geometric = NON_WEYL if l_eff < total else WEYL
     expected = l_eff / np.pi
     if expected == 0.0:
         err = 0.0 if fitted_slope == 0.0 else math.inf
@@ -103,12 +104,12 @@ def _judge(graph: MetricGraph, l_eff: float, fitted_slope: float) -> tuple[str, 
 def classify(graph: MetricGraph, fitted_slope: float) -> str:
     """Geometric class, cross-checked against the fitted counting slope.
 
-    non-Weyl iff some vertex is balanced.  The fitted slope must agree with
-    the matching prediction (L/pi or L_eff/pi) to within 5%; disagreement is
-    an error, never a silent reinterpretation.
+    non-Weyl iff L_eff < L, i.e. some vertex is balanced.  The fitted slope
+    must agree with the matching prediction (L/pi or L_eff/pi) to within 5%;
+    disagreement is an error, never a silent reinterpretation.
     """
     graph.validate()
-    return _judge(graph, effective_size(graph), fitted_slope)[0]
+    return _judge(total_length(graph), effective_size(graph), fitted_slope)[0]
 
 
 def count_report(graph: MetricGraph, band: tuple[float, float],
@@ -122,14 +123,14 @@ def count_report(graph: MetricGraph, band: tuple[float, float],
     locating the band's zeros only for a zero on the lower band edge.
     """
     system = build_bond_system(graph)
-    l_eff = effective_size(graph)
-    weyl_pred, nonweyl_pred = _band_counts(band, total_length(graph), l_eff)
+    total, l_eff = total_length(graph), effective_size(graph)
+    weyl_pred, nonweyl_pred = _band_counts(band, total, l_eff)
     box = SearchBox.from_band(*band, depth=depth)
     grid = np.union1d(FIT_GRID, (box.re_min, box.re_max))
     table = dict(counting_function(system, grid, depth=depth))
     measured = table[box.re_max] - table[box.re_min]
     slope, _, _ = fit_slope((r, table[r]) for r in FIT_GRID)
-    classification, rel_err = _judge(graph, l_eff, slope)
+    classification, rel_err = _judge(total, l_eff, slope)
     return CountReport(
         band=band,
         measured_count=measured,

@@ -293,13 +293,17 @@ def _winding_nudged(system: BondSystem, box: SearchBox):
     # no zeros above the real axis: a top there clears the real eigenvalues
     if box.im_max >= 0.0:
         box = _span(box, 1, box.im_min, max(box.im_max, 1.0))
+    kept = {}  # sides sampled on the current box
     for _ in range(_MAX_NUDGES):
-        sampled = _sample(system, [_segment(box, side) for side in range(4)])
+        fresh = iter(_sample(system, [_segment(box, s) for s in range(4) if s not in kept]))
+        sampled = [kept[s] if s in kept else next(fresh) for s in range(4)]
         near = [isinstance(r, BoundaryProximityError) for r in sampled]
         if not any(near):
             sides = [f for _, f in sampled]
             return (*_loop_winding(sides), box, sides)
-        box = _nudge(box, near.index(True))
+        box = _nudge(box, side := near.index(True))
+        # the nudge moves that side and its neighbours, not the opposite one
+        kept = {(side + 2) % 4: sampled[(side + 2) % 4]}
     raise SolverError(f"boundary still near a zero after {_MAX_NUDGES} nudges")
 
 

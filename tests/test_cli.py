@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphres import (DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, FIXTURE_NAMES,
+import graphres.weyl
+from graphres import (C0, DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, FIXTURE_NAMES,
                       build_bond_system, dump_graph, fixture, interval, sweep)
 from graphres.cli import main
 
@@ -119,16 +120,15 @@ class TestClassify:
         assert body[0].endswith(",Weyl")
         assert len(body) == 1
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_inconsistent_graph_exits_4(self, capsys, tmp_path):
-        # both endpoints balanced: the heuristic effective size goes
-        # negative, no fitted slope can match, and that must be loud
-        path = tmp_path / "twolead.txt"
-        dump_graph(interval(leads=2), path)
-        code, _, err = run(capsys, "classify", "--graph", str(path))
+    def test_inconsistent_graph_exits_4(self, capsys, monkeypatch):
+        # a counting table that grows 20% too steeply for nW1's effective size
+        def steep(system, R_values, depth):
+            return [(r, int(1.2 * 0.896 * r / np.pi)) for r in R_values]
+
+        monkeypatch.setattr(graphres.weyl, "counting_function", steep)
+        code, _, err = run(capsys, "classify", "--fixture", "nW1")
         assert code == 4
         assert "classification error" in err
-
 
     @pytest.mark.parametrize("name, output", [
         ("g1-e30", "g1-e30,0.3,2.2,66,68.64,66.55,1.670453,non-Weyl\n"
@@ -140,6 +140,28 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--graph", str(DATA / f"{name}.graph"))
         assert code == 0, err
         assert out == CLASSIFY_HEADER + "\n" + output
+
+    @pytest.mark.parametrize("name, l_eff", [
+        ("tri-two-balanced", 0.7), ("path-two-leads", 0.0), ("chain4", 0.75),
+        ("kite4", 0.46), ("loop4", 0.05655), ("loop-two-leads", 0.25),
+    ])
+    def test_graph_beyond_one_balanced_vertex_classifies(self, capsys, name, l_eff):
+        code, out, err = run(capsys, "classify", "--graph", str(DATA / f"{name}.graph"))
+        assert code == 0, err
+        fields = rows(out)[1][0].split(",")
+        assert fields[-1] == "non-Weyl"
+        assert float(fields[5]) == round(2 * l_eff * 1.9e9 / C0, 2)
+
+    def test_deep_zeros_need_a_deeper_strip(self, capsys):
+        # 4 of deep4's zeros lie below Im k = -8, so its depth-8 slope falls
+        # 8% short of L_eff / pi; at depth 16 they count
+        path = str(DATA / "deep4.graph")
+        code, _, err = run(capsys, "classify", "--graph", path)
+        assert code == 4
+        assert "fitted slope is 0.1241" in err
+        code, out, err = run(capsys, "classify", "--graph", path, "--depth", "16")
+        assert code == 0, err
+        assert rows(out)[1][0].endswith(",non-Weyl")
 
     def test_compact_triangle_classifies_weyl(self, capsys, tmp_path):
         # its double eigenvalues 2 pi n / L lie on the real axis, inside the
@@ -291,6 +313,15 @@ class TestFailureModes:
         assert code == 2
         assert "error:" in err
         assert "disconnected" in err
+
+    @pytest.mark.parametrize("command", ["resonances", "classify", "sweep", "count"])
+    def test_empty_graph_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.graph"
+        path.write_text("")
+        code, out, err = run(capsys, command, "--graph", str(path))
+        assert code == 2
+        assert "neither edges nor leads" in err
+        assert out == ""
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "resonances", "--graph",

@@ -1,9 +1,11 @@
-from contextlib import nullcontext
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphres.graph
 from graphres import (
     CableSpec,
     Edge,
@@ -15,11 +17,14 @@ from graphres import (
     effective_size,
     fixture,
     interval,
+    load_graph,
     optical_length,
     total_length,
 )
 
 from conftest import EFFECTIVE_SIZES, TOTAL_LENGTHS
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def triangle(lengths=(1.0, 1.0, 1.0), leads=()):
@@ -60,6 +65,10 @@ class TestValidation:
         )
         with pytest.raises(GraphError, match="disconnected"):
             g.validate()
+
+    def test_graph_without_edges_or_leads(self):
+        with pytest.raises(GraphError, match="neither edges nor leads"):
+            MetricGraph((), ()).validate()
 
     def test_error_lists_all_problems(self):
         g = MetricGraph((1, 2), (Edge(1, 1, 9, -1.0),))
@@ -123,18 +132,28 @@ class TestBalance:
         rep = balance_report(g)
         assert rep.shortest_edges == ((1, 1, 0.4), (3, 2, 0.3))
         assert rep.shortest_balanced_edge == (3, 2, 0.3)
-        with pytest.warns(UserWarning, match="multiple balanced"):
-            assert effective_size(g) == pytest.approx(0.0, abs=1e-15)
+        assert effective_size(g) == pytest.approx(0.0, abs=1e-15)
 
 class TestEffectiveSize:
     def test_values(self):
         for name, expected in EFFECTIVE_SIZES.items():
             assert effective_size(fixture(name)) == pytest.approx(expected, abs=1e-12)
 
-    def test_multiple_balanced_vertices_warn(self):
-        with pytest.warns(UserWarning, match="multiple balanced"):
-            got = effective_size(interval(1.0, leads=2))
-        assert got == pytest.approx(-1.0)  # heuristic, intentionally exposed
+    def test_two_balanced_ends_leave_no_effective_size(self):
+        # the path with a lead at each end carries no resonances at all
+        assert effective_size(interval(1.0, leads=2)) == 0.0
+
+    @pytest.mark.parametrize("name, expected", [
+        # beyond a single balanced vertex, where L - l_s fails
+        ("tri-two-balanced", 0.7), ("path-two-leads", 0.0), ("chain4", 0.75),
+        ("kite4", 0.46), ("loop4", 0.05655), ("deep4", 0.4244),
+        ("loop-two-leads", 0.25),
+        # one balanced vertex (g1-e30) and none: L - l_s and L
+        ("g1-e20", 3.49367), ("g1-e30", 5.249951), ("g1-e40", 6.763133),
+    ])
+    def test_graph_files(self, name, expected):
+        assert effective_size(load_graph(DATA / f"{name}.graph")) == pytest.approx(
+            expected, abs=1e-9)
 
 
 class TestCable:
@@ -227,8 +246,82 @@ class TestInvariantProperties:
     @settings(max_examples=25, deadline=None)
     def test_effective_never_exceeds_total(self, leads, length):
         g = interval(length, leads=leads)
-        with pytest.warns(UserWarning) if leads == 2 else nullcontext():
-            eff = effective_size(g)
+        eff = effective_size(g)
         assert eff <= total_length(g) + 1e-12
         if leads == 0:
             assert eff == total_length(g)
+
+
+@st.composite
+def balanced_graphs(draw):
+    """Connected 2-5-vertex graphs with self-loops and parallel edges; 0-4
+    vertices get as many leads as bond ends, and 0-2 leads go anywhere."""
+    n = draw(st.integers(2, 5))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4))
+    edges = tuple(
+        Edge(i + 1, a, b, draw(st.floats(0.05, 1.0))) for i, (a, b) in enumerate(pairs)
+    )
+    ends = Counter(v for pair in pairs for v in pair)
+    balanced = draw(st.lists(st.integers(1, n), unique=True, max_size=4))
+    anchors = [v for v in balanced for _ in range(ends[v])]
+    anchors += draw(st.lists(st.integers(1, n), max_size=2))
+    leads = tuple(Lead(i + 1, v) for i, v in enumerate(anchors))
+    return MetricGraph(tuple(range(1, n + 1)), edges, leads)
+
+
+# vertex 1 (excess 4) unbalances once both its edges to the balanced vertex 2
+# are freed; the shortest way out then takes its self-loop
+SELF_LOOP_BEHIND_TWO_EDGES = MetricGraph(
+    (1, 2, 3),
+    (Edge(1, 1, 2, 0.8794664978838663), Edge(2, 1, 3, 0.6133250646978253),
+     Edge(3, 1, 1, 0.20122510609768557), Edge(4, 2, 1, 0.14951128341384085)),
+    (Lead(1, 3), Lead(2, 2), Lead(3, 2), Lead(4, 1)),
+)
+
+
+class TestExactEffectiveSize:
+    @given(balanced_graphs())
+    @example(SELF_LOOP_BEHIND_TWO_EDGES)
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_search_equals_the_full_one(self, graph):
+        near = graphres.graph._near_balanced
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphres.graph, "_near_balanced",
+                       lambda g: list(range(len(g.edges))) if near(g) else [])
+            full = effective_size(graph)
+        assert effective_size(graph) == full
+
+    @given(balanced_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_shorter_exactly_with_a_balanced_vertex(self, graph):
+        eff, total = effective_size(graph), total_length(graph)
+        assert 0.0 <= eff <= total
+        assert (eff < total) == bool(balance_report(graph).balanced_vertices)
+
+    @given(balanced_graphs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_relabeling_and_edge_order(self, graph, data):
+        label = dict(zip(graph.vertices, data.draw(st.permutations(graph.vertices))))
+        order = data.draw(st.permutations(graph.edges))
+        moved = MetricGraph(
+            tuple(sorted(label.values())),
+            tuple(Edge(e.id, label[e.a], label[e.b], e.length) for e in order),
+            tuple(Lead(l.id, label[l.anchor]) for l in graph.leads),
+        )
+        assert effective_size(moved) == effective_size(graph)
+
+    @given(balanced_graphs(), st.data(), st.floats(0.1, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_merging_a_lead_free_degree_2_vertex(self, graph, data, t):
+        # split an edge by a new vertex with no leads: the waves pass it whole
+        e = data.draw(st.sampled_from(graph.edges))
+        v = max(graph.vertices) + 1
+        split = MetricGraph(
+            graph.vertices + (v,),
+            tuple(x for x in graph.edges if x is not e) + (
+                Edge(e.id, e.a, v, t * e.length),
+                Edge(max(x.id for x in graph.edges) + 1, v, e.b, (1 - t) * e.length)),
+            graph.leads,
+        )
+        assert effective_size(split) == pytest.approx(effective_size(graph), abs=1e-12)

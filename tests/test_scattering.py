@@ -15,6 +15,7 @@ from graphres import (
     balance_report,
     build_bond_system,
     det_smatrix_modulus,
+    effective_size,
     external_smatrix,
     fixture,
     interval,
@@ -392,6 +393,10 @@ class TestMergedChains:
             got, want = evaluate(chain, ks), evaluate(merged, ks)
             size = np.maximum(np.abs(want).reshape(ks.size, -1).max(axis=1), 1.0)
             assert np.all(np.abs(got - want).reshape(ks.size, -1).max(axis=1) <= 1e-12 * size)
+
+    def test_the_chain_and_its_merged_graph_share_one_effective_size(self):
+        assert effective_size(self.CHAIN) == pytest.approx(0.75, abs=1e-12)
+        assert effective_size(self.MERGED) == pytest.approx(0.75, abs=1e-12)
 
     def test_vertex_counts(self):
         assert build_bond_system(VERTEX_GRAPHS["triangle"]).n_vertices == 1

@@ -376,6 +376,16 @@ class TestSamplingOnce:
         split = frozenset((complex(mid, box.im_min), complex(mid, box.im_max)))
         assert sampled_segments[split] == 1
 
+    def test_a_nudge_keeps_the_opposite_side(self, neumann, sampled_segments):
+        # the right edge runs through the zero at pi: the nudge moves it, the
+        # bottom and the top, and the left side keeps its first samples
+        count, _, used, sides = zeros._winding_nudged(neumann, SearchBox(1.0, np.pi, -0.5, 0.0))
+        assert count == 1 and used.re_max > np.pi
+        assert sampled_segments[frozenset((complex(1.0, 1.0), complex(1.0, -0.5)))] == 1
+        # the same values as sampling the moved box afresh
+        for got, want in zip(sides, zeros._winding_nudged(neumann, used)[3]):
+            assert np.array_equal(got, want)
+
     def test_counting_samples_no_line_twice(self, systems, sampled_segments):
         counting_function(systems["W1"], FIT_GRID)
         assert max(sampled_segments.values()) == 1
