@@ -139,7 +139,9 @@ def _cmd_classify(args, graph: MetricGraph) -> int:
     report = count_report(graph, band, depth=args.depth)
     lines = [CSV_HEADER, report_csv_row(name, report)]
     if report.classification == "non-Weyl":
-        vertex, edge_id, ell_s = balance_report(graph).shortest_balanced_edge
+        ell_s, vertex, edge_id = min((e.length, v, e.id)
+                                     for v in balance_report(graph).balanced_vertices
+                                     for e in graph.edges if v in (e.a, e.b))
         lines.append(f"# balanced_vertex={vertex} shortest_edge={edge_id} ell_s={ell_s:g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

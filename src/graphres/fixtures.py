@@ -36,7 +36,7 @@ def fixture(name: str) -> MetricGraph:
     anchors = _NONWEYL_ANCHORS if name.startswith("n") else _WEYL_ANCHORS
     edges = tuple(Edge(eid, a, b, lengths[eid]) for eid, a, b in _TOPOLOGY)
     leads = tuple(Lead(i + 1, v) for i, v in enumerate(anchors))
-    return MetricGraph(vertices=(1, 2, 3, 4, 5), edges=edges, leads=leads)
+    return MetricGraph(edges, leads)
 
 
 def interval(length: float = 1.0, leads: int = 0) -> MetricGraph:
@@ -50,9 +50,6 @@ def interval(length: float = 1.0, leads: int = 0) -> MetricGraph:
     """
     if leads not in (0, 1, 2):
         raise ValueError("an interval supports at most one lead per endpoint")
-    anchor_list = ((), (1,), (1, 2))[leads]
-    return MetricGraph(
-        vertices=(1, 2),
-        edges=(Edge(1, 1, 2, length),),
-        leads=tuple(Lead(i + 1, v) for i, v in enumerate(anchor_list)),
-    )
+    anchors = ((), (1,), (1, 2))[leads]
+    return MetricGraph((Edge(1, 1, 2, length),),
+                       tuple(Lead(i + 1, v) for i, v in enumerate(anchors)))

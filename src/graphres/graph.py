@@ -1,9 +1,10 @@
-"""Metric-graph model: vertices, edges with optical lengths, semi-infinite leads.
+"""Metric-graph model: edges with optical lengths and semi-infinite leads.
 
-A metric graph here is a finite network of 1-D segments joined at vertices,
-optionally opened to scattering by attaching semi-infinite leads.  All lengths
-are optical lengths in meters.  The effective size L_eff, which sets the
-resonance density, is exact: the leading term of the secular polynomial.
+A metric graph here is a finite network of 1-D segments, optionally opened to
+scattering by attaching semi-infinite leads.  It is its edges and leads, as a
+graph file lists them: its vertices are the edge ends and lead anchors.  All
+lengths are optical lengths in meters.  The effective size L_eff, which sets
+the resonance density, is exact: the leading term of the secular polynomial.
 """
 
 from __future__ import annotations
@@ -56,25 +57,24 @@ class CableSpec:
 
 @dataclass(frozen=True)
 class MetricGraph:
-    vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     leads: tuple[Lead, ...] = ()
     cable: CableSpec | None = None
 
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """The edge ends and lead anchors, ascending."""
+        ends = {v for e in self.edges for v in (e.a, e.b)}
+        return tuple(sorted(ends | {l.anchor for l in self.leads}))
+
     def validate(self) -> None:
         """Raise :class:`GraphError` listing every violated invariant."""
         problems = []
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            problems.append("duplicate vertex identifiers")
         seen_edges = set()
         for e in self.edges:
             if e.id in seen_edges:
                 problems.append(f"duplicate edge id {e.id}")
             seen_edges.add(e.id)
-            for v in (e.a, e.b):
-                if v not in vset:
-                    problems.append(f"edge {e.id} references missing vertex {v}")
             if not (e.length > 0.0) or not math.isfinite(e.length):
                 problems.append(f"edge {e.id} has non-positive length {e.length}")
         seen_leads = set()
@@ -82,8 +82,6 @@ class MetricGraph:
             if l.id in seen_leads:
                 problems.append(f"duplicate lead id {l.id}")
             seen_leads.add(l.id)
-            if l.anchor not in vset:
-                problems.append(f"lead {l.id} anchored at missing vertex {l.anchor}")
         if not (self.edges or self.leads):
             problems.append("graph has neither edges nor leads")
         if not problems and self.edges and not _connected(self):
@@ -93,25 +91,20 @@ class MetricGraph:
 
 
 def _connected(g: MetricGraph) -> bool:
-    # connectivity of the internal part only; isolated vertices (no edge,
-    # no lead) also count as a violation
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    # connectivity of the internal part only: a lead may sit on a vertex
+    # that no edge touches
+    adj: dict[int, set[int]] = {}
     for e in g.edges:
-        adj[e.a].add(e.b)
-        adj[e.b].add(e.a)
-    touched = {e.a for e in g.edges} | {e.b for e in g.edges}
-    start = next(iter(touched))
+        adj.setdefault(e.a, set()).add(e.b)
+        adj.setdefault(e.b, set()).add(e.a)
+    start = next(iter(adj))
     stack, seen = [start], {start}
     while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if seen != touched:
-        return False
-    # vertices carrying neither edges nor leads are unreachable by any wave
-    loose = set(g.vertices) - touched - {l.anchor for l in g.leads}
-    return not loose
+    return len(seen) == len(adj)
 
 
 def total_length(graph: MetricGraph) -> float:
@@ -134,37 +127,17 @@ class VertexBalance:
 @dataclass(frozen=True)
 class BalanceReport:
     per_vertex: tuple[VertexBalance, ...]
-    # (vertex, edge id, length) of the shortest edge emanating from each
-    # balanced vertex, in vertex order
-    shortest_edges: tuple[tuple[int, int, float], ...] = ()
 
     @property
     def balanced_vertices(self) -> tuple[int, ...]:
         return tuple(r.vertex for r in self.per_vertex if r.balanced)
-
-    @property
-    def shortest_balanced_edge(self) -> tuple[int, int, float] | None:
-        """The shortest of ``shortest_edges`` (first vertex on ties), or None."""
-        return min(self.shortest_edges, key=lambda s: s[2], default=None)
 
 
 def balance_report(graph: MetricGraph) -> BalanceReport:
     """Per-vertex lead/edge balance; a self-loop adds 2 to the internal degree."""
     deg = Counter([e.a for e in graph.edges] + [e.b for e in graph.edges])
     nlead = Counter(l.anchor for l in graph.leads)
-    records = tuple(
-        VertexBalance(v, deg[v], nlead[v]) for v in sorted(graph.vertices)
-    )
-    shortest = []
-    for rec in records:
-        if rec.balanced:
-            # ties broken by smallest edge id for determinism
-            best = min(
-                (e for e in graph.edges if rec.vertex in (e.a, e.b)),
-                key=lambda e: (e.length, e.id),
-            )
-            shortest.append((rec.vertex, best.id, best.length))
-    return BalanceReport(records, tuple(shortest))
+    return BalanceReport(tuple(VertexBalance(v, deg[v], nlead[v]) for v in graph.vertices))
 
 
 def effective_size(graph: MetricGraph) -> float:
@@ -179,8 +152,9 @@ def effective_size(graph: MetricGraph) -> float:
     if not near:  # no balanced vertex: det Sigma = prod_v det sigma_v != 0
         return L
     start = [e.a for e in graph.edges] + [e.b for e in graph.edges]
-    end, leads = start[N:] + start[:N], Counter(l.anchor for l in graph.leads)
-    deg = [start.count(v) + leads[v] for v in start]
+    end = start[N:] + start[:N]
+    degree = {r.vertex: r.internal_degree + r.lead_count for r in balance_report(graph).per_vertex}
+    deg = [degree[v] for v in start]
     rows = [[2 * (end[c] == start[b]) - deg[b] * (c == (b + N) % (2 * N))
              for c in range(2 * N)] for b in range(2 * N)]
 

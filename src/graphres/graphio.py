@@ -63,9 +63,6 @@ def parse_graph(text: str) -> MetricGraph:
             raise GraphError(f"[cable] section missing {sorted(missing)}")
         cable = CableSpec(cable_fields["r1"], cable_fields["r2"], cable_fields["epsilon"])
 
-    vertices = sorted(
-        {v for _, a, b, _ in edges for v in (a, b)} | {v for _, v in leads}
-    )
     built_edges = []
     for eid, a, b, length in edges:
         if cable is not None:
@@ -73,12 +70,7 @@ def parse_graph(text: str) -> MetricGraph:
                 raise GraphError(f"edge {eid} has non-positive length {length}")
             length = optical_length(length, cable)
         built_edges.append(Edge(eid, a, b, length))
-    graph = MetricGraph(
-        vertices=tuple(vertices),
-        edges=tuple(built_edges),
-        leads=tuple(Lead(lid, v) for lid, v in leads),
-        cable=cable,
-    )
+    graph = MetricGraph(tuple(built_edges), tuple(Lead(lid, v) for lid, v in leads), cable)
     graph.validate()
     return graph
 

@@ -139,8 +139,7 @@ def _sample(system: BondSystem, segments):
     """
     # first guess from the generic phase speed ~ 2 * total length
     speed = 2.0 * float(np.sum(system.lengths[: system.n_edges]))
-    n0 = [int(min(4097, max(17, 8.0 * abs(z1 - z0) * speed / np.pi)))
-          for z0, z1 in segments]
+    n0 = [int(max(17, 8.0 * abs(z1 - z0) * speed / np.pi)) for z0, z1 in segments]
     grids = {n: np.linspace(0.0, 1.0, n) for n in set(n0)}  # shared: never written
     t = [grids[n] for n in n0]
     f = _secular_at(system, segments, t)

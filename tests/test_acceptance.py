@@ -161,7 +161,6 @@ def test_criterion_7_scaling_covariance(capsys, band_box, band_zeros):
     base = np.array([r.k for r in band_zeros["W1"].resonances])
     g = fixture("W1")
     doubled = MetricGraph(
-        g.vertices,
         tuple(Edge(e.id, e.a, e.b, 2.0 * e.length) for e in g.edges),
         g.leads,
     )

@@ -113,6 +113,25 @@ class TestClassify:
         assert body[0].endswith(",non-Weyl")
         assert body[1] == "# balanced_vertex=1 shortest_edge=2 ell_s=0.103"
 
+    def test_shortest_edge_tie_breaks_by_id(self, capsys, tmp_path):
+        # edges 4 and 2 of the balanced vertex 1 are both 0.2 m long
+        path = tmp_path / "tie.graph"
+        path.write_text("[edges]\n4 1 2 0.2\n2 1 3 0.2\n5 2 3 0.9\n[leads]\n1 1\n2 1\n")
+        code, out, err = run(capsys, "classify", "--graph", str(path))
+        assert code == 0, err
+        assert rows(out)[1] == ["tie,0.3,2.2,8,16.48,8.24,0.206989,non-Weyl",
+                                "# balanced_vertex=1 shortest_edge=2 ell_s=0.2"]
+
+    def test_shortest_edge_of_all_balanced_vertices(self, capsys, tmp_path):
+        # both ends of the path are balanced: vertex 3's edge is the shorter,
+        # and L_eff = 0 leaves no resonance
+        path = tmp_path / "path.graph"
+        path.write_text("[edges]\n1 1 2 0.4\n2 2 3 0.3\n[leads]\n1 1\n2 3\n")
+        code, out, err = run(capsys, "classify", "--graph", str(path))
+        assert code == 0, err
+        assert rows(out)[1] == ["path,0.3,2.2,0,8.87,0.00,0.000000,non-Weyl",
+                                "# balanced_vertex=3 shortest_edge=2 ell_s=0.3"]
+
     def test_weyl_row_has_no_comment(self, capsys):
         code, out, _ = run(capsys, "classify", "--fixture", "W1")
         _, body = rows(out)
@@ -380,6 +399,14 @@ class TestFailureModes:
                              "--fmin-ghz", "1", "--fmax-ghz", "1.01")
         assert code == 0, err
         assert len(rows(out)[1]) == 4
+
+    def test_a_graph_of_60_m_classifies(self, capsys):
+        # the phase-speed rule gives its counting root's top (Re k up to 400)
+        # 122 842 first samples; capped at 4 097, the steps aliased and the
+        # root winding read -516
+        code, out, err = run(capsys, "classify", "--graph", str(DATA / "tri60.graph"))
+        assert code == 0, err
+        assert rows(out)[1] == ["tri60,0.3,2.2,764,764.33,764.33,19.194222,Weyl"]
 
     @pytest.mark.parametrize("command", ["resonances", "classify", "count"])
     def test_absorption_is_a_sweep_option(self, capsys, command):

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphres import (
+    Edge,
     GraphError,
+    Lead,
+    MetricGraph,
     dump_graph,
     fixture,
     format_graph,
@@ -35,6 +40,28 @@ def test_parse_minimal():
 
 def test_round_trip_identity():
     g = fixture("nW2")
+    assert parse_graph(format_graph(g)) == g
+
+
+@st.composite
+def valid_graphs(draw):
+    """Connected edge parts on 1-5 vertices, with self-loops, parallel edges
+    and unordered ids, or no edge at all; 0-3 leads, which may sit on vertex
+    6, which no edge touches."""
+    n = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3))
+    ids = draw(st.lists(st.integers(-9, 99), min_size=len(pairs), max_size=len(pairs),
+                        unique=True))
+    edges = tuple(Edge(i, a, b, draw(st.floats(1e-6, 1e3))) for i, (a, b) in zip(ids, pairs))
+    anchors = draw(st.lists(st.integers(1, 6), min_size=int(not edges), max_size=3))
+    return MetricGraph(edges, tuple(Lead(i + 1, v) for i, v in enumerate(anchors)))
+
+
+@given(valid_graphs())
+@settings(max_examples=100, deadline=None)
+def test_round_trip_of_any_valid_graph(g):
+    g.validate()
     assert parse_graph(format_graph(g)) == g
 
 

@@ -77,7 +77,7 @@ class TestBondSystem:
                     assert init[bp] == term[b]
 
     def test_compact_sigma_unitary(self):
-        for g in (interval(1.0), MetricGraph(fixture("W1").vertices, fixture("W1").edges)):
+        for g in (interval(1.0), MetricGraph(fixture("W1").edges)):
             s = build_bond_system(g)
             assert np.allclose(s.sigma @ s.sigma.T.conj(), np.eye(s.n_bonds), atol=1e-12)
 
@@ -112,8 +112,8 @@ class TestBondSystem:
     def test_rejects_invalid_graph(self):
         from graphres import Edge, GraphError
 
-        bad = MetricGraph((1, 2), (Edge(1, 1, 5, 1.0),))
-        with pytest.raises(GraphError):
+        bad = MetricGraph((Edge(1, 1, 2, 1.0), Edge(1, 2, 3, 0.0)))
+        with pytest.raises(GraphError, match="duplicate edge id 1.*non-positive"):
             build_bond_system(bad)
 
 
@@ -174,7 +174,6 @@ class TestSecular:
         k = complex(re, im)
         g = fixture("W1")
         doubled = MetricGraph(
-            g.vertices,
             tuple(type(e)(e.id, e.a, e.b, 2.0 * e.length) for e in g.edges),
             g.leads,
         )
@@ -251,7 +250,6 @@ def _reference_smatrix(system, k):
 
 REFERENCE_GRAPHS = [fixture(name) for name in FIXTURE_NAMES] + [
     MetricGraph(
-        (1, 2),
         (Edge(1, 1, 2, 0.3), Edge(2, 2, 2, 0.17), Edge(3, 1, 2, 0.21)),
         (Lead(1, 1), Lead(2, 2), Lead(3, 2)),
     )
@@ -290,23 +288,18 @@ def _bond_smatrix(system, k):
 VERTEX_GRAPHS = {
     **dict(zip([*FIXTURE_NAMES, "self-loop"], REFERENCE_GRAPHS)),
     "multi-edge": MetricGraph(
-        (1, 2, 3),
         (Edge(1, 1, 2, 0.3), Edge(2, 1, 2, 0.45), Edge(3, 2, 3, 0.2), Edge(4, 2, 3, 0.27)),
         (Lead(1, 1), Lead(2, 3)),
     ),
     "pendant": MetricGraph(
-        (1, 2, 3, 4),
         (Edge(1, 1, 2, 0.31), Edge(2, 2, 3, 0.22), Edge(3, 3, 1, 0.17), Edge(4, 3, 4, 0.4)),
         (Lead(1, 1), Lead(2, 2)),
     ),
     "leads-only-vertex": MetricGraph(
-        (1, 2, 3),
         (Edge(1, 1, 2, 0.4), Edge(2, 1, 2, 0.25)),
         (Lead(1, 1), Lead(2, 3), Lead(3, 3)),
     ),
-    "triangle": MetricGraph(
-        (1, 2, 3), (Edge(1, 1, 2, 0.3), Edge(2, 2, 3, 0.2), Edge(3, 3, 1, 0.5))
-    ),
+    "triangle": MetricGraph((Edge(1, 1, 2, 0.3), Edge(2, 2, 3, 0.2), Edge(3, 3, 1, 0.5))),
     "one-lead-interval": interval(1.0, leads=1),
 }
 
@@ -373,12 +366,10 @@ class TestMergedChains:
 
     # vertex 2 joins the 0.1 m and 0.2 m edges into the other graph's 0.3 m one
     CHAIN = MetricGraph(
-        (1, 2, 3, 4),
         (Edge(1, 1, 2, 0.1), Edge(2, 2, 3, 0.2), Edge(3, 3, 4, 0.35), Edge(4, 4, 3, 0.4)),
         (Lead(1, 1), Lead(2, 4)),
     )
     MERGED = MetricGraph(
-        (1, 3, 4),
         (Edge(1, 1, 3, 0.3), Edge(3, 3, 4, 0.35), Edge(4, 4, 3, 0.4)),
         (Lead(1, 1), Lead(2, 4)),
     )
@@ -421,7 +412,7 @@ def _random_graph(n_edges, seed):
         pairs.append((int(a), int(b)))
     edges = tuple(Edge(i + 1, a, b, float(rng.uniform(0.05, 0.3)))
                   for i, (a, b) in enumerate(pairs))
-    return MetricGraph(tuple(range(1, n + 1)), edges, (Lead(1, 1), Lead(2, n)))
+    return MetricGraph(edges, (Lead(1, 1), Lead(2, n)))
 
 
 def _with_balanced_pendant(graph):
@@ -430,7 +421,6 @@ def _with_balanced_pendant(graph):
     v = max(graph.vertices) + 1
     *leads, last = graph.leads
     return MetricGraph(
-        (*graph.vertices, v),
         (*graph.edges, Edge(len(graph.edges) + 1, last.anchor, v, 0.2)),
         (*leads, Lead(last.id, v)),
     )
@@ -543,7 +533,7 @@ def small_graphs(draw):
     )
     anchors = draw(st.lists(st.integers(1, n), max_size=4))
     leads = tuple(Lead(i + 1, v) for i, v in enumerate(anchors))
-    return MetricGraph(tuple(range(1, n + 1)), edges, leads)
+    return MetricGraph(edges, leads)
 
 
 # off the real axis: there a random graph may have an embedded eigenvalue,
@@ -551,7 +541,6 @@ def small_graphs(draw):
 @given(small_graphs(), st.floats(1.0, 100.0), st.floats(-4.0, -0.05))
 @example(  # a path to a pendant vertex: |S| ~ 3e7, and H alone loses 4 digits
     MetricGraph(
-        (1, 2, 3, 4, 5),
         (Edge(1, 1, 2, 1.0), Edge(2, 1, 3, 1.0), Edge(3, 1, 4, 1.0), Edge(4, 2, 5, 1.0)),
         (Lead(1, 5),),
     ),
@@ -619,7 +608,6 @@ def test_balanced_pendant_behind_a_lead_free_chain_against_50_digits():
     # 5.14 m edge, so the vertex form serves only Im k >= -0.29.  A bound
     # from the 1 m edges alone lost 1.3e-11 at Im k = -1.49.
     graph = MetricGraph(
-        tuple(range(1, 8)),
         (Edge(1, 1, 2, 0.3), Edge(2, 1, 3, 1.0), Edge(3, 2, 4, 0.8438922877457612),
          Edge(4, 3, 5, 1.0), Edge(5, 5, 6, 1.0), Edge(6, 6, 7, 1.0)),
         (Lead(1, 4), Lead(2, 4), Lead(3, 7)),

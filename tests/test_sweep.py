@@ -126,7 +126,7 @@ class TestDips:
             Edge(e.id, e.a, e.b, 0.2255 if e.id == 4 else e.length)
             for e in g.edges
         )
-        system = build_bond_system(MetricGraph(g.vertices, edges, g.leads))
+        system = build_bond_system(MetricGraph(edges, g.leads))
         zs = find_zeros(system, SearchBox.from_band(*BAND_HZ))
         ks = np.array([r.k for r in zs.resonances])
         spacing = np.abs(np.diff(ks.real))

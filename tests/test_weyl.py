@@ -65,7 +65,6 @@ class TestPredictedCount:
     def test_linear_in_length_and_band(self, scale, nu0, span):
         g = fixture("W1")
         scaled = MetricGraph(
-            g.vertices,
             tuple(Edge(e.id, e.a, e.b, scale * e.length) for e in g.edges),
             g.leads,
         )
@@ -142,7 +141,6 @@ class TestClassify:
     def test_scaling_leaves_class_unchanged(self):
         g = fixture("nW2")
         scaled = MetricGraph(
-            g.vertices,
             tuple(Edge(e.id, e.a, e.b, 3.0 * e.length) for e in g.edges),
             g.leads,
         )

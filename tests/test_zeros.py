@@ -24,6 +24,7 @@ from graphres import (
     interval,
     load_graph,
     secular_many,
+    total_length,
 )
 from graphres.weyl import FIT_GRID
 
@@ -43,9 +44,8 @@ def parallel_edges():
     """40 parallel edges between two vertices, one lead: det M vanishes to
     order E - V + 1 = 39 at k = 0."""
     lengths = np.random.default_rng(0).uniform(0.05, 0.3, 40)
-    graph = MetricGraph((1, 2), tuple(Edge(i + 1, 1, 2, float(length))
-                                      for i, length in enumerate(lengths)),
-                        (Lead(1, 1),))
+    graph = MetricGraph(tuple(Edge(i + 1, 1, 2, float(length))
+                              for i, length in enumerate(lengths)), (Lead(1, 1),))
     return build_bond_system(graph)
 
 
@@ -454,6 +454,15 @@ class TestBatchedSampler:
     def test_no_segments(self, neumann):
         assert zeros._sample(neumann, []) == []
 
+    def test_a_long_side_gets_the_phase_speed_grid(self):
+        # the counting root's top on g1-e40 (Im k = 1, Re k up to 400): a
+        # first grid capped at 4097 points left phase steps of up to 1.52 rad
+        graph = load_graph(DATA / "g1-e40.graph")
+        root = SearchBox(zeros._K_MIN, 400.0, -STRIP_DEPTH, 0.0)
+        *_, used, sides = zeros._winding_nudged(build_bond_system(graph), root)
+        rule = 8.0 * (used.re_max - used.re_min) * 2.0 * total_length(graph) / np.pi
+        assert sides[2].size >= int(rule) > 13000
+
 
 class TestCountingFunction:
     def test_neumann_interval_table(self, neumann):
@@ -551,7 +560,7 @@ def small_open_graphs(draw):
     edges = tuple(Edge(i + 1, a, b, draw(length)) for i, (a, b) in enumerate(ends))
     anchors = draw(st.lists(st.integers(1, n), min_size=1, max_size=2))
     leads = tuple(Lead(i + 1, v) for i, v in enumerate(anchors))
-    return MetricGraph(tuple(range(1, n + 1)), edges, leads)
+    return MetricGraph(edges, leads)
 
 
 class TestStripCounterProperties:
@@ -606,11 +615,9 @@ class TestBatchedSamplerProperties:
             assert _same_result(got, want)
 
 
-def _graph(edges, leads=(), vertices=None):
+def _graph(edges, leads=()):
     """A graph from ``(a, b, length)`` edges and lead anchors."""
-    ends = {v for a, b, _ in edges for v in (a, b)} | set(leads)
-    return MetricGraph(tuple(vertices or sorted(ends)),
-                       tuple(Edge(i + 1, a, b, l) for i, (a, b, l) in enumerate(edges)),
+    return MetricGraph(tuple(Edge(i + 1, a, b, l) for i, (a, b, l) in enumerate(edges)),
                        tuple(Lead(i + 1, v) for i, v in enumerate(leads)))
 
 
@@ -669,8 +676,7 @@ def small_graphs(draw):
     ends = [(v, v + 1) for v in range(1, n)]
     ends += draw(st.lists(st.tuples(vertex, vertex), min_size=int(n == 1), max_size=2))
     edges = [(a, b, draw(st.floats(0.1, 1.0))) for a, b in ends]
-    return _graph(edges, leads=draw(st.lists(vertex, max_size=2)),
-                  vertices=range(1, n + 1))
+    return _graph(edges, leads=draw(st.lists(vertex, max_size=2)))
 
 
 class TestCountAgainstDenseWinding:
