@@ -25,7 +25,7 @@ from .graph import GraphError, MetricGraph, balance_report, cutoff_frequency
 from .graphio import load_graph
 from .scattering import build_bond_system
 from .sweep import sweep
-from .weyl import ClassificationError, CountReport, count_report
+from .weyl import NON_WEYL, ClassificationError, CountReport, count_report
 from .zeros import SearchBox, SolverError, find_zeros, counting_function
 
 RESONANCE_HEADER = "re_k_per_m,im_k_per_m,nu_ghz,width_mhz,residual"
@@ -43,8 +43,8 @@ def _absorption(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a number or 'default', got {text!r}"
         ) from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError("absorption must be >= 0")
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError("absorption must be finite and >= 0")
     return value
 
 
@@ -138,7 +138,7 @@ def _cmd_classify(args, graph: MetricGraph) -> int:
     name = args.fixture or Path(args.graph).stem
     report = count_report(graph, band, depth=args.depth)
     lines = [CSV_HEADER, report_csv_row(name, report)]
-    if report.classification == "non-Weyl":
+    if report.classification == NON_WEYL:
         ell_s, vertex, edge_id = min((e.length, v, e.id)
                                      for v in balance_report(graph).balanced_vertices
                                      for e in graph.edges if v in (e.a, e.b))

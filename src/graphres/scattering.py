@@ -411,11 +411,11 @@ def det_smatrix_modulus(system: BondSystem, nu, absorption: float = 0.0):
     absorption pulls the evaluation line toward the resonance poles and
     carves a dip near each one.
     """
-    if absorption < 0.0:
-        raise ValueError(f"absorption must be >= 0, got {absorption}")
+    if not 0.0 <= absorption < np.inf:
+        raise ValueError(f"absorption must be finite and >= 0, got {absorption}")
     nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-    if np.any(nu_arr <= 0.0):
-        raise ValueError("frequencies must be positive")
+    if not np.all((0.0 < nu_arr) & (nu_arr < np.inf)):
+        raise ValueError("frequencies must be finite and positive")
     ks = 2.0 * np.pi * nu_arr / C0 + 1j * absorption
     mods = np.abs(np.linalg.det(smatrix_many(system, ks)))
     return float(mods[0]) if np.isscalar(nu) or np.ndim(nu) == 0 else mods

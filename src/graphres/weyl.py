@@ -49,17 +49,8 @@ class CountReport:
     slope_relative_error: float
 
 
-def predicted_count(graph: MetricGraph, band: tuple[float, float]) -> tuple[float, float]:
-    """Expected resonance counts in the band: (L-based, effective-size-based).
-
-    Both equal ``2 * length * (nu_max - nu_min) / c``; round half-up to get
-    integer expectations.
-    """
-    graph.validate()
-    return _band_counts(band, total_length(graph), effective_size(graph))
-
-
 def _band_counts(band: tuple[float, float], *lengths: float) -> tuple[float, ...]:
+    """Expected count ``2 * length * (nu_max - nu_min) / c`` in the band per length."""
     nu_min, nu_max = band
     if not (0.0 <= nu_min < nu_max):
         raise ValueError(f"empty or inverted band {band}")
@@ -99,17 +90,6 @@ def _judge(total: float, l_eff: float, fitted_slope: float) -> tuple[str, float]
             f"({100 * err:.1f}% off)"
         )
     return geometric, err
-
-
-def classify(graph: MetricGraph, fitted_slope: float) -> str:
-    """Geometric class, cross-checked against the fitted counting slope.
-
-    non-Weyl iff L_eff < L, i.e. some vertex is balanced.  The fitted slope
-    must agree with the matching prediction (L/pi or L_eff/pi) to within 5%;
-    disagreement is an error, never a silent reinterpretation.
-    """
-    graph.validate()
-    return _judge(total_length(graph), effective_size(graph), fitted_slope)[0]
 
 
 def count_report(graph: MetricGraph, band: tuple[float, float],

@@ -118,7 +118,6 @@ class Resonance:
 @dataclass(frozen=True)
 class ZeroSet:
     resonances: tuple[Resonance, ...]
-    winding_total: int
     boundary_scale: float
 
     def __len__(self) -> int:
@@ -338,7 +337,7 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
         raise SolverError(
             f"located {len(kept)} zeros but the boundary winding says {total}"
         )
-    return ZeroSet(tuple(kept), total, scale)
+    return ZeroSet(tuple(kept), scale)
 
 
 def _subdivide(system, box, sides, count, scale, depth, out):

@@ -441,9 +441,12 @@ class TestFailureModes:
         assert exc.value.code == 2
 
     def test_negative_absorption_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--fixture", "W1", "--absorption", "-0.1"])
-        assert exc.value.code == 2
+        # the `=` form keeps argparse from reading "-0.1" as an option
+        for value in ("-0.1", "nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--fixture", "W1", f"--absorption={value}"])
+            assert exc.value.code == 2
+            assert "absorption must be finite and >= 0" in capsys.readouterr().err
 
     def test_fixture_and_graph_are_exclusive(self, capsys, lead_interval_path):
         with pytest.raises(SystemExit) as exc:

@@ -744,10 +744,13 @@ class TestDetModulus:
 
     def test_rejects_negative_absorption(self):
         s = build_bond_system(fixture("W1"))
-        with pytest.raises(ValueError):
-            det_smatrix_modulus(s, 1e9, -0.1)
+        for absorption in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="absorption"):
+                det_smatrix_modulus(s, 1e9, absorption)
+        assert det_smatrix_modulus(s, 1e9, -0.0) == pytest.approx(1.0)
 
     def test_rejects_nonpositive_frequency(self):
         s = build_bond_system(fixture("W1"))
-        with pytest.raises(ValueError):
-            det_smatrix_modulus(s, 0.0, 0.1)
+        for nu in (0.0, np.nan, np.inf, [1e9, np.nan]):
+            with pytest.raises(ValueError, match="frequencies"):
+                det_smatrix_modulus(s, nu, 0.1)

@@ -14,17 +14,16 @@ from graphres import (
     Edge,
     MetricGraph,
     SearchBox,
-    classify,
     count_report,
     effective_size,
     find_zeros,
     fit_slope,
     fixture,
     interval,
-    predicted_count,
     total_length,
 )
 from graphres.cli import report_csv_row
+from graphres.weyl import _band_counts, _judge
 
 from conftest import BAND_HZ, EXPECTED_COUNTS
 
@@ -32,6 +31,16 @@ from conftest import BAND_HZ, EXPECTED_COUNTS
 def round_half_up(x: float) -> int:
     """.5 always rounds up; plain round() would go to even."""
     return math.floor(x + 0.5)
+
+
+def predicted_count(graph, band):
+    """count_report's (L-based, effective-size-based) band predictions."""
+    return _band_counts(band, total_length(graph), effective_size(graph))
+
+
+def classify(graph, fitted_slope):
+    """count_report's class for a graph whose counting slope is ``fitted_slope``."""
+    return _judge(total_length(graph), effective_size(graph), fitted_slope)[0]
 
 
 class TestPredictedCount:

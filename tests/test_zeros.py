@@ -206,9 +206,9 @@ class TestFindZeros:
         for n, r in enumerate(zs.resonances, start=1):
             assert r.k == pytest.approx(n * np.pi, abs=1e-10)
 
-    def test_cardinality_equals_winding(self, band_zeros):
-        for zs in band_zeros.values():
-            assert len(zs) == zs.winding_total
+    def test_cardinality_equals_winding(self, systems, band_box, band_zeros):
+        for name, zs in band_zeros.items():
+            assert len(zs) == count_zeros(systems[name], band_box)
 
     def test_residuals_are_tiny(self, band_zeros):
         for zs in band_zeros.values():
@@ -345,6 +345,103 @@ class TestFindZeros:
         expected = np.array([complex(*k) for k in ref["wide_band_zeros"][name]])
         assert ks.shape == expected.shape
         assert np.max(np.abs(ks - expected)) < 1e-10
+
+
+def _failures(monkeypatch):
+    """The boundary errors ``_sample`` reports, in order, as messages."""
+    messages = []
+    sample = zeros._sample
+
+    def spy(system, segments):
+        out = sample(system, segments)
+        messages.extend(str(r) for r in out if isinstance(r, zeros.BoundaryProximityError))
+        return out
+
+    monkeypatch.setattr(zeros, "_sample", spy)
+    return messages
+
+
+class TestFailurePaths:
+    def test_the_residual_gate_refuses_a_converged_newton(self, systems, monkeypatch):
+        # with a gate of 0 Newton converges, measures its residual and is
+        # refused every time, so the leaf shrinks until no split line is left
+        newton, results = zeros._newton, []
+        secular, residuals = zeros.secular_many, []
+
+        def spy_newton(system, box, scale):
+            results.append(newton(system, box, scale))
+            return results[-1]
+
+        def spy_secular(system, ks):
+            if len(ks) == 1:
+                residuals.append(ks)
+            return secular(system, ks)
+
+        monkeypatch.setattr(zeros, "_RESIDUAL_REL", 0.0)
+        monkeypatch.setattr(zeros, "_newton", spy_newton)
+        monkeypatch.setattr(zeros, "secular_many", spy_secular)
+        with pytest.raises(SolverError):
+            find_zeros(systems["W1"], SearchBox(16.0, 17.5, -1.5, 0.0))
+        assert residuals and results and all(r is None for r in results)
+
+    def test_halves_that_miscount_try_the_next_split_line(self, neumann, monkeypatch):
+        # the first split's two halves come back one zero too many, which
+        # their parent's winding refutes: the split moves to the next fraction
+        winding, calls = zeros._loop_winding, []
+        strips, fractions = zeros._strips, []
+
+        def miscount(sides):
+            calls.append(sides)
+            count, scale = winding(sides)
+            return count + (len(calls) == 2), scale
+
+        def spy_strips(system, box, sides, axis, cuts):
+            fractions.append((cuts[0] - box.re_min) / (box.re_max - box.re_min))
+            return strips(system, box, sides, axis, cuts)
+
+        monkeypatch.setattr(zeros, "_loop_winding", miscount)
+        monkeypatch.setattr(zeros, "_strips", spy_strips)
+        zs = find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
+        assert fractions[:2] == pytest.approx(zeros._SPLIT_FRACTIONS[:2], abs=1e-12)
+        assert [r.k for r in zs] == pytest.approx([np.pi, 2 * np.pi, 3 * np.pi], abs=1e-10)
+
+    def test_a_negative_winding_is_a_solver_error(self):
+        clockwise = np.exp(-0.5j * np.pi * np.arange(4))
+        with pytest.raises(SolverError, match="-1.0 is not a nonnegative integer"):
+            zeros._loop_winding([clockwise])
+
+    def test_a_non_integer_winding_is_a_solver_error(self, monkeypatch):
+        # a closed loop's steps sum to a multiple of 2 pi up to rounding, so
+        # only phase steps that are wrong reach this check
+        monkeypatch.setattr(zeros, "_phase_steps", lambda f: np.full(f.size - 1, np.pi / 4))
+        with pytest.raises(SolverError, match="0.5 is not a nonnegative integer"):
+            zeros._loop_winding([np.ones(4, dtype=complex)])
+
+    def test_a_side_on_a_zero_after_five_nudges_is_a_solver_error(self, neumann,
+                                                                  monkeypatch):
+        # every sample is below the floor, so each of the five boxes has a
+        # side "on a zero"
+        failures = _failures(monkeypatch)
+        monkeypatch.setattr(zeros, "_ABS_FLOOR", np.inf)
+        with pytest.raises(SolverError, match="after 5 nudges"):
+            count_zeros(neumann, SearchBox(1.0, 10.0, -0.5, 0.0))
+        assert failures and set(failures) == {"secular vanishes on the boundary"}
+
+    def test_a_side_over_the_sample_cap_after_five_nudges_is_a_solver_error(
+            self, neumann, monkeypatch):
+        # the right side passes 1e-4 from the zero at 3 pi, whose phase swing
+        # needs more than the first 17 samples, on each of the five boxes
+        failures = _failures(monkeypatch)
+        monkeypatch.setattr(zeros, "_MAX_SIDE_SAMPLES", 17)
+        with pytest.raises(SolverError, match="after 5 nudges"):
+            count_zeros(neumann, SearchBox(1.0, 3 * np.pi + 1e-4, -0.5, 0.0))
+        assert failures == ["side refinement exceeded 17 samples"] * 5
+
+    def test_subdivision_deeper_than_the_cap_is_a_solver_error(self, neumann, monkeypatch):
+        # three zeros need at least two splits
+        monkeypatch.setattr(zeros, "_MAX_DEPTH", 1)
+        with pytest.raises(SolverError, match="subdivision depth exceeded"):
+            find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
 
 
 @pytest.fixture()
