@@ -99,8 +99,7 @@ def count_report(graph: MetricGraph, band: tuple[float, float],
     One :func:`counting_function` table on ``FIT_GRID`` plus the band's
     edges gives the slope fit and the measured count ``N(re_max) -
     N(re_min)``, certified like every N(R) (else :class:`SolverError`).
-    It counts zeros with ``re_min < Re k <= re_max``, so it differs from
-    locating the band's zeros only for a zero on the lower band edge.
+    It counts the zeros with ``re_min < Re k <= re_max``, as ``find_zeros`` does.
     """
     system = build_bond_system(graph)
     total, l_eff = total_length(graph), effective_size(graph)

@@ -3,22 +3,17 @@
 The secular determinant is entire in k, so the number of zeros inside a
 rectangle equals the winding number of its boundary image around 0.  Boxes
 are subdivided until each contains a single zero, which Newton iteration on
-the logarithmic derivative then pins to ~1e-12.  The two halves of a box
-share their sampled split line and keep the parent sides they inherit, so
-each samples only its two sides along the split axis.
+the logarithmic derivative then pins to ~1e-12.  The counting function N(R)
+locates no zeros: it cuts one strip at every R and sums the windings of the
+sub-strips.
 
-The counting function N(R) locates no zeros: it cuts one strip the same way,
-at every R, and sums the windings of the sub-strips.
-
-Both cut a box through ``_strips``, which samples the cuts with the new sides
-of the parts in one batched call and moves a cut that runs through a zero.
-The four sides of a root box are one batch as well, and a side through a zero
-moves outward, never onto k = 0.  A root top on or above the real axis goes up
-to Im k = 1, and every side winds f (conj k/|k|)^beta, beta the order of the
-zero at k = 0.  Each refinement round of a batch is one more secular call, so
-the number of calls, not of points, falls; the values are those of sampling
-each side alone.  A segment is a ``(z0, z1)`` pair, and a caller knows a
-failing one by its position in the batch.
+Every line is sampled through ``_strips``: the four sides of a root box, or
+the cuts of a box with the new sides of its parts, in one batch whose every
+refinement round is one secular call (the values are those of sampling each
+line alone).  A line through a zero moves forward, right or up, so a box holds
+the zeros of (re_min, re_max] x (im_min, im_max].  A root top on or above the
+real axis goes up to Im k = 1, and every side winds f (conj k/|k|)^beta, beta
+the order of the zero at k = 0.  A segment is a ``(z0, z1)`` pair.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ _K_MIN = 1e-9                # left edge of a strip from k = 0, which stays outs
 _ABS_FLOOR = 1e-290          # |f| below this counts as "on a zero"
 _MIN_SEGMENT = 1e-13         # relative to the side length
 _PHASE_CAP = np.pi / 2       # a single step may not approach a branch jump
-_NUDGE = 1e-6                # outward edge shift, relative to the box span
+_NUDGE = 1e-6                # forward shift off a zero, relative to the box span
 _MAX_NUDGES = 5
 _DEDUP_RADIUS = 1e-9
 _NEWTON_TOL = 1e-12
@@ -200,6 +195,11 @@ def _segment(box: SearchBox, side: int):
     return c[side], c[(side + 1) % 4]
 
 
+def _extent(box: SearchBox, axis: int) -> tuple[float, float]:
+    """The box's (lo, hi) along ``axis`` (0 real, 1 imaginary)."""
+    return (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
+
+
 def _span(box: SearchBox, axis: int, lo: float, hi: float) -> SearchBox:
     """The box with its extent along ``axis`` (0 real, 1 imaginary) replaced."""
     bounds = [box.re_min, box.re_max, box.im_min, box.im_max]
@@ -210,48 +210,60 @@ def _span(box: SearchBox, axis: int, lo: float, hi: float) -> SearchBox:
 def _strips(system, box, sides, axis, cuts):
     """(part, sampled sides) of each part of a box cut across ``axis``.
 
-    ``sides`` are the box's sampled sides (bottom, right, top, left) and
-    ``cuts`` ascending positions inside it.  Each cut is sampled as side
-    ``1 + axis`` of the part below, in one batch with the parts' sides, and
-    used reversed by the part above; the end parts keep the box sides they
-    inherit whole, so each part samples only its two sides along ``axis``.
-    The cuts lead the batch, so a failing cut is known by its position.  A
-    cut through a zero moves up by 1e-6 of the box span, dropping every cut
-    it reaches (all the rest once it reaches the far edge), and the batch is
-    sampled again, at most five times in all.
+    ``sides`` are the box's sampled sides (bottom, right, top, left), or None
+    for a root box, whose four are sampled here; ``cuts`` are ascending
+    positions inside it.  Each cut is sampled as side ``1 + axis`` of the part
+    below, in one batch with the parts' sides, and used reversed by the part
+    above; the end parts keep the box sides they inherit whole.  A cut or root
+    side through a zero moves forward by 1e-6 of the box's extent across it,
+    dropping every cut it reaches (all the rest once it reaches the far edge),
+    and only new or moved lines are sampled again, in at most five batches.
+    An inherited side never moves: a piece of one through a zero raises
+    :class:`BoundaryProximityError`.
     """
-    lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
+    done = {}  # sampled values, or the error, by (z0, z1), reversed lines too
+
+    def bad(segment):
+        return isinstance(done.get(segment), BoundaryProximityError)
+
     for _ in range(_MAX_NUDGES):
+        (lo, hi), (a, b) = _extent(box, axis), _extent(box, 1 - axis)
         ends = [lo, *cuts, hi]
-        parts = [_span(box, axis, a, b) for a, b in zip(ends, ends[1:])]
-        sampled = _sample(system, [_segment(part, 1 + axis) for part in parts[:-1]] + [
-            _segment(part, side) for part in parts for side in (axis, axis + 2)
-        ])
-        near = [isinstance(r, BoundaryProximityError) for r in sampled[: len(cuts)]]
-        if not any(near):
+        parts = [_span(box, axis, x0, x1) for x0, x1 in zip(ends, ends[1:])]
+        # the lines across the axis, each run like a cut, and the pieces along it
+        across = [_segment(parts[0], (3 + axis) % 4)[::-1],
+                  *(_segment(part, 1 + axis) for part in parts)]
+        along = [[_segment(part, side) for part in parts] for side in (axis, axis + 2)]
+        wanted = [*(across[1:-1] if sides else [across[0][::-1], *across[1:]]),
+                  *along[0], *along[1]]
+        fresh = [segment for segment in wanted if segment not in done]
+        for (z0, z1), r in zip(fresh, _sample(system, fresh)):
+            failed = isinstance(r, BoundaryProximityError)
+            done[z0, z1], done[z1, z0] = (r, r) if failed else (r[1], r[1][::-1])
+        xs = [x + _NUDGE * (hi - lo) * bad(line) for x, line in zip(ends, across)]
+        ys = [y + _NUDGE * (b - a) * (not sides and any(map(bad, pieces)))
+              for y, pieces in zip((a, b), along)]
+        if xs == ends and ys == [a, b]:
             break
-        moved = []
-        for x, shift in zip(cuts, near):
-            x += _NUDGE * (hi - lo) if shift else 0.0
-            if x >= hi:
+        kept = xs[:1]
+        for x in xs[1:-1]:
+            if x >= xs[-1]:
                 break
-            if not moved or x > moved[-1]:
-                moved.append(x)
-        cuts = moved
+            if x > kept[-1]:
+                kept.append(x)
+        box = _span(_span(box, axis, kept[0], xs[-1]), 1 - axis, *ys)
+        cuts = kept[1:]
     else:
-        raise BoundaryProximityError(f"cut still near a zero after {_MAX_NUDGES} nudges")
-    for result in sampled:
-        if isinstance(result, BoundaryProximityError):
-            raise result
-    sampled = iter(f for _, f in sampled)
-    lines = [sides[(3 + axis) % 4][::-1],
-             *(next(sampled) for _ in cuts), sides[1 + axis]]
+        raise BoundaryProximityError(f"line still near a zero after {_MAX_NUDGES} nudges")
+    for segment in filter(bad, wanted):
+        raise done[segment]  # a piece of an inherited side
+    lines = [done.get(line) for line in across]
+    if sides:
+        lines[0], lines[-1] = sides[(3 + axis) % 4][::-1], sides[1 + axis]
     out = []
-    for part, below, above in zip(parts, lines, lines[1:]):
-        s = [None] * 4
-        s[axis], s[axis + 2] = next(sampled), next(sampled)
-        s[1 + axis], s[(3 + axis) % 4] = above, below[::-1]
-        out.append((part, s))
+    for part, below, above, bottom, top in zip(parts, lines, lines[1:], *along):
+        s = [done[bottom], above, done[top], below[::-1]]  # sides 0-3 when axis is 0
+        out.append((part, s[-axis:] + s[:-axis]))
     return out
 
 
@@ -275,52 +287,25 @@ def _loop_winding(sides) -> tuple[int, float]:
 
 
 def count_zeros(system: BondSystem, box: SearchBox) -> int:
-    """Number of secular zeros inside the box, by the argument principle.
-
-    A top on or above the real axis goes up to Im k = 1.  A side near a zero moves
-    out by 1e-6 of the span, at most five times, but a left edge never onto k = 0.
-    """
+    """Number of secular zeros in (re_min, re_max] x (im_min, im_max], by the
+    argument principle; a top on or above the real axis goes up to Im k = 1."""
     count, *_ = _winding_nudged(system, box)
     return count
 
 
 def _winding_nudged(system: BondSystem, box: SearchBox):
-    """Winding count with the nudge policy: (count, max |secular| on the
-    boundary, the box actually used, its sampled sides)."""
+    """(count, max |secular| on the boundary, the box actually used, its
+    sampled sides), a side through a zero moved as ``_strips`` moves it."""
     # the Kirchhoff Laplacian is self-adjoint and nonnegative, so det M has
     # no zeros above the real axis: a top there clears the real eigenvalues
     if box.im_max >= 0.0:
         box = _span(box, 1, box.im_min, max(box.im_max, 1.0))
-    kept = {}  # sides sampled on the current box
-    for _ in range(_MAX_NUDGES):
-        fresh = iter(_sample(system, [_segment(box, s) for s in range(4) if s not in kept]))
-        sampled = [kept[s] if s in kept else next(fresh) for s in range(4)]
-        near = [isinstance(r, BoundaryProximityError) for r in sampled]
-        if not any(near):
-            sides = [f for _, f in sampled]
-            return (*_loop_winding(sides), box, sides)
-        box = _nudge(box, side := near.index(True))
-        # the nudge moves that side and its neighbours, not the opposite one
-        kept = {(side + 2) % 4: sampled[(side + 2) % 4]}
-    raise SolverError(f"boundary still near a zero after {_MAX_NUDGES} nudges")
-
-
-def _nudge(box: SearchBox, side: int) -> SearchBox:
-    """The box with ``side`` (bottom, right, top, left) moved outward by 1e-6
-    of the box's extent across it, but never a left edge onto or past k = 0,
-    where the secular function has a zero of high order that no nudge clears."""
-    axis = 1 - side % 2
-    lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
-    shift = _NUDGE * (hi - lo)
-    if side in (1, 2):
-        return _span(box, axis, lo, hi + shift)
-    if side == 3 and lo > 0.0 >= lo - shift:
-        raise SolverError(f"left edge at Re k = {lo!r} would move past k = 0")
-    return _span(box, axis, lo - shift, hi)
+    [(box, sides)] = _strips(system, box, None, 0, [])
+    return (*_loop_winding(sides), box, sides)
 
 
 def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
-    """All secular zeros inside the box, polished to ~1e-12.
+    """All secular zeros in (re_min, re_max] x (im_min, im_max], polished to ~1e-12.
 
     The box is bisected (axes alternating) until each leaf holds one zero by
     winding count; Newton from the leaf center does the rest.  The final list
@@ -355,7 +340,7 @@ def _subdivide(system, box, sides, count, scale, depth, out):
             return
         # Newton failed from this leaf's center: shrink and retry
     axis = depth % 2
-    lo, hi = (box.re_min, box.re_max) if axis == 0 else (box.im_min, box.im_max)
+    lo, hi = _extent(box, axis)
     for frac in _SPLIT_FRACTIONS:
         mid = lo + (hi - lo) * frac
         try:

@@ -302,6 +302,16 @@ class TestCount:
         r = np.array([float(row.split(",")[0]) for row in body])
         assert np.all(np.diff(r) > 0)
 
+    def test_a_band_next_to_a_zero_of_order_39(self, capsys):
+        # 40 parallel edges: |F| ~ |k|^39 underflows on the strip's left edge
+        # at Re k = 1e-9, which moves right, away from k = 0
+        code, out, err = run(capsys, "count", "--graph", str(DATA / "parallel40.graph"),
+                             "--fmin-ghz", "0", "--fmax-ghz", "0.0954", "--depth", "1")
+        assert code == 0, err
+        _, body = rows(out)
+        assert len(body) == 100
+        assert {row.split(",")[1] for row in body} == {"0"}
+
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 class TestBenchmarkReference:

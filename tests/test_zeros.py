@@ -39,18 +39,15 @@ def neumann():
     return build_bond_system(interval(1.0))
 
 
+def _data_system(name):
+    return build_bond_system(load_graph(DATA / f"{name}.graph"))
+
+
 @pytest.fixture(scope="module")
 def parallel_edges():
     """40 parallel edges between two vertices, one lead: det M vanishes to
     order E - V + 1 = 39 at k = 0."""
-    lengths = np.random.default_rng(0).uniform(0.05, 0.3, 40)
-    graph = MetricGraph(tuple(Edge(i + 1, 1, 2, float(length))
-                              for i, length in enumerate(lengths)), (Lead(1, 1),))
-    return build_bond_system(graph)
-
-
-def _data_system(name):
-    return build_bond_system(load_graph(DATA / f"{name}.graph"))
+    return _data_system("parallel40")
 
 
 def _dense_winding(system, box, n=2 ** 14):
@@ -149,22 +146,31 @@ class TestCounting:
         assert len(zs) == count_zeros(system, box) == 4
         assert winding == pytest.approx(4, abs=1e-6)
 
-    def test_bottom_edge_through_a_zero_moves_down(self, systems):
+    def test_bottom_edge_through_a_zero_moves_up(self, systems):
         # the bottom edge runs exactly through this reference zero of W1; the
-        # top goes up to Im k = 1 first, so the bottom moves by 1e-6 of that
+        # top goes up to Im k = 1 first, so the bottom moves up by 1e-6 of
+        # that span, like a cut, and the box leaves the zero out
         zero = complex(16.825755091440058, -0.8890841257805226)
         box = SearchBox(zero.real - 1.0, zero.real + 1.0, zero.imag, 0.0)
         count, _, used, _ = zeros._winding_nudged(systems["W1"], box)
         assert used == SearchBox(box.re_min, box.re_max,
-                                 zero.imag - 1e-6 * (1.0 - zero.imag), 1.0)
+                                 zero.imag + 1e-6 * (1.0 - zero.imag), 1.0)
+        upper = SearchBox(box.re_min, box.re_max, zero.imag + 1e-3, 0.0)
         lower = SearchBox(box.re_min, box.re_max, zero.imag - 1e-3, 0.0)
-        assert count == count_zeros(systems["W1"], lower) == 1
+        assert count == count_zeros(systems["W1"], upper) == 0
+        assert count_zeros(systems["W1"], lower) == 1
 
-    def test_a_left_edge_never_moves_onto_k_zero(self):
-        # det M vanishes to a high order at k = 0, which no nudge clears:
-        # moving this left edge by 1e-6 of the span would put k = 0 inside
-        with pytest.raises(SolverError, match="k = 0"):
-            zeros._nudge(SearchBox(1e-9, 2.0, -0.5, 0.0), 3)
+    def test_a_left_edge_where_a_zero_of_order_39_underflows_moves_right(
+            self, parallel_edges):
+        # |F| ~ |k|^39 underflows the floor at Re k = 1e-9, so the left edge
+        # is "on a zero"; it moves right by 1e-6 of the span, away from k = 0,
+        # and counts like a dense winding of a box that keeps 1e-3 from it
+        box = SearchBox(1e-9, 2.0, -1.0, 0.0)
+        count, _, used, _ = zeros._winding_nudged(parallel_edges, box)
+        assert used == SearchBox(1e-9 + 1e-6 * (2.0 - 1e-9), 2.0, -1.0, 1.0)
+        winding, step = _dense_winding(parallel_edges, SearchBox(1e-3, 2.0, -1.0, 1.0))
+        assert count == count_zeros(parallel_edges, box) == 0
+        assert winding == pytest.approx(0, abs=1e-6) and step < 0.15
 
     def test_a_left_edge_next_to_a_zero_of_order_39_counts(self, parallel_edges):
         # det M vanishes to order E - V + 1 = 39 at k = 0; the sides wind
@@ -253,11 +259,16 @@ class TestFindZeros:
                 assert np.linalg.svd(m, compute_uv=False)[-1] < 1e-8
 
     def test_boundary_through_a_zero_gets_nudged(self, neumann):
-        # the left edge runs exactly through the zero at pi
-        zs = find_zeros(neumann, SearchBox(np.pi, 10.0, -0.5, 0.0))
-        ks = sorted(r.k.real for r in zs.resonances)
-        assert len(ks) == 3
-        assert ks[0] == pytest.approx(np.pi, abs=1e-10)
+        # the left edge runs exactly through the zero at pi and moves right by
+        # 1e-6 of the span, so the box holds the zeros of (pi, 10], the ones
+        # that N(10) - N(pi) counts
+        box = SearchBox(np.pi, 10.0, -0.5, 0.0)
+        zs = find_zeros(neumann, box)
+        assert [r.k for r in zs] == pytest.approx([2 * np.pi, 3 * np.pi], abs=1e-10)
+        *_, used, _ = zeros._winding_nudged(neumann, box)
+        assert used == SearchBox(np.pi + 1e-6 * (10.0 - np.pi), 10.0, -0.5, 1.0)
+        table = dict(counting_function(neumann, [np.pi, 10.0], depth=0.5))
+        assert table[10.0] - table[np.pi] == len(zs) == 2
 
     def test_right_edge_through_a_zero_moves_right(self, neumann):
         # the right edge runs exactly through the zero at 3 pi
@@ -279,9 +290,11 @@ class TestFindZeros:
             find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
 
     def test_no_clean_split_line_is_a_solver_error(self, neumann, monkeypatch):
-        fractions = []
+        strips, fractions = zeros._strips, []
 
         def near(system, box, sides, axis, cuts):
+            if sides is None:
+                return strips(system, box, sides, axis, cuts)  # the root's sides
             fractions.append((cuts[0] - box.re_min) / (box.re_max - box.re_min))
             raise zeros.BoundaryProximityError("on a zero")
 
@@ -292,8 +305,8 @@ class TestFindZeros:
 
     def test_split_line_through_a_zero_moves_off_it(self, neumann, monkeypatch):
         # the first split line, at the box's middle Re k = 2 pi, runs through
-        # a zero; the same batch is sampled again with the line 1e-6 of the
-        # span further right
+        # a zero; it moves 1e-6 of the span further right and is sampled
+        # again with the halves' sides beside it, which are all four
         calls = []
         sample = zeros._sample
 
@@ -396,7 +409,8 @@ class TestFailurePaths:
             return count + (len(calls) == 2), scale
 
         def spy_strips(system, box, sides, axis, cuts):
-            fractions.append((cuts[0] - box.re_min) / (box.re_max - box.re_min))
+            if sides is not None:
+                fractions.append((cuts[0] - box.re_min) / (box.re_max - box.re_min))
             return strips(system, box, sides, axis, cuts)
 
         monkeypatch.setattr(zeros, "_loop_winding", miscount)
@@ -486,6 +500,27 @@ class TestSamplingOnce:
     def test_counting_samples_no_line_twice(self, systems, sampled_segments):
         counting_function(systems["W1"], FIT_GRID)
         assert max(sampled_segments.values()) == 1
+
+    def test_a_cut_through_a_zero_resamples_only_the_lines_beside_it(
+            self, systems, band_zeros, counting_tables, monkeypatch):
+        # a cut at each band zero's Re k runs through it and moves right; the
+        # batches after the first hold the moved cuts and the bottoms and tops
+        # of the strips beside them (16 619 points), not every line again
+        # (25 784)
+        points = []
+        secular = zeros.secular_many
+
+        def spy(system, ks):
+            points.append(np.size(ks))
+            return secular(system, ks)
+
+        monkeypatch.setattr(zeros, "secular_many", spy)
+        positions = [r.k.real for r in band_zeros["W1"]]
+        table = dict(counting_function(systems["W1"], np.union1d(FIT_GRID, positions)))
+        assert sum(points) < 20000
+        # each zero counts in N at its own Re k, and the grid's counts stand
+        assert [table[x] for x in positions] == list(range(1, 14))
+        assert [(r, table[r]) for r in FIT_GRID] == counting_tables["W1"][0]
 
     def test_counting_samples_cuts_with_the_strip_sides(self, systems, monkeypatch):
         # one batch for the root's sides, one for every cut and strip side
@@ -601,7 +636,8 @@ class TestCountingFunction:
                                                                monkeypatch):
         # every sampling of the first cut reports a zero on it: it moves by
         # 9e-6, dropping the cut it reaches, for five batches in all, and then
-        # the cut is a boundary error
+        # the cut is a boundary error.  A batch after the first holds only the
+        # moved cut and the bottoms and tops of the two strips beside it.
         batches = []
         sample = zeros._sample
 
@@ -614,11 +650,11 @@ class TestCountingFunction:
         box = SearchBox(1.0, 10.0, -0.5, 0.2)
         sides = _sides(neumann, box)
         monkeypatch.setattr(zeros, "_sample", near)
-        with pytest.raises(zeros.BoundaryProximityError, match="cut still near a zero"):
+        with pytest.raises(zeros.BoundaryProximityError, match="line still near a zero"):
             zeros._strips(neumann, box, sides, 0, [4.0, 4.000001, 7.0])
         assert [x for x, _ in batches] == pytest.approx(
             [4.0 + 9e-6 * n for n in range(5)], abs=1e-12)
-        assert [n for _, n in batches] == [3 + 2 * 4] + [2 + 2 * 3] * 4
+        assert [n for _, n in batches] == [3 + 2 * 4] + [1 + 2 * 2] * 4
 
     def test_a_non_finite_winding_is_a_solver_error(self):
         with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
