@@ -9,11 +9,15 @@ sub-strips.
 
 Every line is sampled through ``_strips``: the four sides of a root box, or
 the cuts of a box with the new sides of its parts, in one batch whose every
-refinement round is one secular call (the values are those of sampling each
-line alone).  A line through a zero moves forward, right or up, so a box holds
-the zeros of (re_min, re_max] x (im_min, im_max].  A root top on or above the
-real axis goes up to Im k = 1, and every side winds f (conj k/|k|)^beta, beta
-the order of the zero at k = 0.  A segment is a ``(z0, z1)`` pair.
+refinement round is one secular call (each line refines as it would alone).
+A new side that is a piece of a line the bisection sampled starts from that
+line's samples, and only its end at the cut is evaluated; a piece of a root
+side is sampled afresh, so the first split checks the root winding on an
+independent sampling.  A line through a zero moves forward, right or up, so a
+box holds the zeros of (re_min, re_max] x (im_min, im_max].  A root top on or
+above the real axis goes up to Im k = 1, and every side winds
+f (conj k/|k|)^beta, beta the order of the zero at k = 0.  A segment is a
+``(z0, z1)`` pair.
 """
 
 from __future__ import annotations
@@ -122,21 +126,37 @@ class ZeroSet:
         return iter(self.resonances)
 
 
-def _sample(system: BondSystem, segments):
+def _sample(system: BondSystem, segments, starts=None):
     """Sample ``(z0, z1)`` segments until phase steps stay below pi/2.
 
-    Returns each segment's ``(t, f)``, or the :class:`BoundaryProximityError`
-    it hit, in the order of ``segments``.  The first grids of all segments go
-    into one secular call, and each refinement round puts the midpoints of
-    every segment still refining into one more; the values are those of
-    sampling each segment alone.
+    ``starts`` holds each segment's first grid: None (the default for all)
+    for an even one, or the ``(t, f)`` of :func:`_piece`, whose NaN values
+    are the only ones evaluated, and are filled in place.  Returns each
+    segment's ``(t, f)``, or the :class:`BoundaryProximityError` it hit, in
+    the order of ``segments``.  The first grids of all segments go into one
+    secular call, and each refinement round puts the midpoints of every
+    segment still refining into one more; the values are those of sampling
+    each segment alone from its first grid.
     """
     # first guess from the generic phase speed ~ 2 * total length
     speed = 2.0 * float(np.sum(system.lengths[: system.n_edges]))
-    n0 = [int(max(17, 8.0 * abs(z1 - z0) * speed / np.pi)) for z0, z1 in segments]
-    grids = {n: np.linspace(0.0, 1.0, n) for n in set(n0)}  # shared: never written
-    t = [grids[n] for n in n0]
-    f = _secular_at(system, segments, t)
+    starts = starts or [None] * len(segments)
+    grids, t, ask = {}, [], []  # grids are shared: never written
+    for (z0, z1), start in zip(segments, starts):
+        if start is None:
+            n = int(max(17, 8.0 * abs(z1 - z0) * speed / np.pi))
+            if n not in grids:
+                grids[n] = np.linspace(0.0, 1.0, n)
+            t.append(grids[n])
+            ask.append(grids[n])
+        else:
+            t.append(start[0])
+            ask.append(start[0][np.isnan(start[1])])
+    f = _secular_at(system, segments, ask)
+    for i, start in enumerate(starts):
+        if start is not None:
+            start[1][np.isnan(start[1])] = f[i]
+            f[i] = start[1]
     out = [None] * len(segments)
     active = range(len(segments))
     while active:
@@ -207,21 +227,37 @@ def _span(box: SearchBox, axis: int, lo: float, hi: float) -> SearchBox:
     return SearchBox(*bounds)
 
 
+def _piece(line, t0, t1):
+    """First grid ``(t, f)`` of the piece [t0, t1] of a sampled line ``(t, f)``:
+    the line's samples inside it, rescaled to [0, 1], and NaN at an end that
+    none of them sits on (a cut)."""
+    t, f = line
+    i, j = np.searchsorted(t, t0, "right"), np.searchsorted(t, t1)
+    ends = (f[i - 1] if t[i - 1] == t0 else np.nan), (f[j] if t[j] == t1 else np.nan)
+    return (np.concatenate(([0.0], (t[i:j] - t0) / (t1 - t0), [1.0])),
+            np.concatenate(([ends[0]], f[i:j], [ends[1]])))
+
+
 def _strips(system, box, sides, axis, cuts):
     """(part, sampled sides) of each part of a box cut across ``axis``.
 
+    A sampled side is ``(t, f)``, the values ``f`` at positions ``t`` in
+    [0, 1] along it; a root box's sides keep their values only (``t`` None).
     ``sides`` are the box's sampled sides (bottom, right, top, left), or None
     for a root box, whose four are sampled here; ``cuts`` are ascending
     positions inside it.  Each cut is sampled as side ``1 + axis`` of the part
-    below, in one batch with the parts' sides, and used reversed by the part
-    above; the end parts keep the box sides they inherit whole.  A cut or root
-    side through a zero moves forward by 1e-6 of the box's extent across it,
-    dropping every cut it reaches (all the rest once it reaches the far edge),
-    and only new or moved lines are sampled again, in at most five batches.
-    An inherited side never moves: a piece of one through a zero raises
-    :class:`BoundaryProximityError`.
+    below, in one batch with the parts' sides along ``axis``, and used
+    reversed by the part above; the end parts keep the box sides they inherit
+    whole.  A part's side along ``axis`` starts from the samples of the box
+    side it lies on (:func:`_piece`), or afresh if that is a root side, so
+    the parts check the root winding on an independent sampling.  A cut or
+    root side through a zero moves forward by 1e-6 of the box's extent across
+    it, dropping every cut it reaches (all the rest once it reaches the far
+    edge), and only new or moved lines are sampled again, in at most five
+    batches.  An inherited side never moves: a piece of one through a zero
+    raises :class:`BoundaryProximityError`.
     """
-    done = {}  # sampled values, or the error, by (z0, z1), reversed lines too
+    done = {}  # sampled (t, f), or the error, by (z0, z1)
 
     def bad(segment):
         return isinstance(done.get(segment), BoundaryProximityError)
@@ -230,16 +266,25 @@ def _strips(system, box, sides, axis, cuts):
         (lo, hi), (a, b) = _extent(box, axis), _extent(box, 1 - axis)
         ends = [lo, *cuts, hi]
         parts = [_span(box, axis, x0, x1) for x0, x1 in zip(ends, ends[1:])]
-        # the lines across the axis, each run like a cut, and the pieces along it
-        across = [_segment(parts[0], (3 + axis) % 4)[::-1],
+        # the lines across the axis, each part's side 3 + axis (the first
+        # part's) and 1 + axis, and the pieces along it
+        across = [_segment(parts[0], (3 + axis) % 4),
                   *(_segment(part, 1 + axis) for part in parts)]
         along = [[_segment(part, side) for part in parts] for side in (axis, axis + 2)]
-        wanted = [*(across[1:-1] if sides else [across[0][::-1], *across[1:]]),
-                  *along[0], *along[1]]
+        wanted = [*(across[1:-1] if sides else across), *along[0], *along[1]]
         fresh = [segment for segment in wanted if segment not in done]
-        for (z0, z1), r in zip(fresh, _sample(system, fresh)):
-            failed = isinstance(r, BoundaryProximityError)
-            done[z0, z1], done[z1, z0] = (r, r) if failed else (r[1], r[1][::-1])
+        # a piece of a box side with positions starts from its samples, at
+        # (u0, u1) of the side, which runs backward for side axis + 2
+        u = [(x - lo) / (hi - lo) for x in ends]
+        v = [1.0 - x for x in u]
+        lent = {}
+        for side, pieces, spans in ((axis, along[0], zip(u, u[1:])),
+                                    (axis + 2, along[1], zip(v[1:], v))):
+            if sides and sides[side][0] is not None:
+                lent.update(zip(pieces, ((sides[side], *span) for span in spans)))
+        starts = [_piece(*lent[s]) if s in lent else None for s in fresh]
+        for segment, r in zip(fresh, _sample(system, fresh, starts)):
+            done[segment] = r
         xs = [x + _NUDGE * (hi - lo) * bad(line) for x, line in zip(ends, across)]
         ys = [y + _NUDGE * (b - a) * (not sides and any(map(bad, pieces)))
               for y, pieces in zip((a, b), along)]
@@ -257,12 +302,16 @@ def _strips(system, box, sides, axis, cuts):
         raise BoundaryProximityError(f"line still near a zero after {_MAX_NUDGES} nudges")
     for segment in filter(bad, wanted):
         raise done[segment]  # a piece of an inherited side
-    lines = [done.get(line) for line in across]
-    if sides:
-        lines[0], lines[-1] = sides[(3 + axis) % 4][::-1], sides[1 + axis]
+    cut_lines = [done[line] for line in across[1:-1]]
+    first, last = (sides[(3 + axis) % 4], sides[1 + axis]) if sides else (
+        done[across[0]], done[across[-1]])
+    backward = [(1.0 - t[::-1], f[::-1]) for t, f in cut_lines]  # for the part above
     out = []
-    for part, below, above, bottom, top in zip(parts, lines, lines[1:], *along):
-        s = [done[bottom], above, done[top], below[::-1]]  # sides 0-3 when axis is 0
+    for part, bottom, top, right, left in zip(parts, *along, [*cut_lines, last],
+                                              [first, *backward]):
+        s = [done[bottom], right, done[top], left]  # sides 0-3 when axis is 0
+        if not sides:  # a root box's sides keep their values only
+            s = [(None, f) for _, f in s]
         out.append((part, s[-axis:] + s[:-axis]))
     return out
 
@@ -274,7 +323,7 @@ def _loop_winding(sides) -> tuple[int, float]:
     and raises :class:`SolverError` unless the phase sum is a nonnegative
     integer to within 1e-3 (a sample that overflowed makes it non-finite).
     """
-    f = np.concatenate(sides)
+    f = np.concatenate([f for _, f in sides])
     # duplicated corner points contribute zero-length (zero-phase) segments;
     # appending f[0] closes the loop
     total = _phase_steps(np.append(f, f[0])).sum() / (2.0 * np.pi)
@@ -349,7 +398,10 @@ def _subdivide(system, box, sides, count, scale, depth, out):
             continue  # no nudge cleared the zeros near this line; jitter it
         counts = [_loop_winding(s)[0] for _, s in halves]
         if sum(counts) != count:
-            continue  # phase slipped right at the line; jitter as well
+            # the shared cut cancels out of the sum: a fresh piece of a root
+            # side, or an inherited one refined at the cut, disagrees with
+            # the parent's samples; jitter as well
+            continue
         for (half, s), c in zip(halves, counts):
             _subdivide(system, half, s, c, scale, depth + 1, out)
         return

@@ -310,9 +310,9 @@ class TestFindZeros:
         calls = []
         sample = zeros._sample
 
-        def spy(system, segments):
+        def spy(system, segments, starts=None):
             calls.append(segments)
-            return sample(system, segments)
+            return sample(system, segments, starts)
 
         monkeypatch.setattr(zeros, "_sample", spy)
         lo, hi = 1.0, 4 * np.pi - 1.0
@@ -365,13 +365,37 @@ def _failures(monkeypatch):
     messages = []
     sample = zeros._sample
 
-    def spy(system, segments):
-        out = sample(system, segments)
+    def spy(system, segments, starts=None):
+        out = sample(system, segments, starts)
         messages.extend(str(r) for r in out if isinstance(r, zeros.BoundaryProximityError))
         return out
 
     monkeypatch.setattr(zeros, "_sample", spy)
     return messages
+
+
+def _secular_points(monkeypatch):
+    """The number of points of each ``secular_many`` call, in order."""
+    points = []
+    secular = zeros.secular_many
+
+    def spy(system, ks):
+        points.append(np.size(ks))
+        return secular(system, ks)
+
+    monkeypatch.setattr(zeros, "secular_many", spy)
+    return points
+
+
+def _on(piece, line):
+    """Whether the segment ``piece`` lies on the segment ``line``, both
+    horizontal or vertical."""
+    ends = np.array([*piece, *line])
+    for fixed, varying in ((ends.imag, ends.real), (ends.real, ends.imag)):
+        if np.all(fixed == fixed[0]):
+            lo, hi = sorted(varying[2:])
+            return lo <= min(varying[:2]) and max(varying[:2]) <= hi
+    return False
 
 
 class TestFailurePaths:
@@ -422,14 +446,14 @@ class TestFailurePaths:
     def test_a_negative_winding_is_a_solver_error(self):
         clockwise = np.exp(-0.5j * np.pi * np.arange(4))
         with pytest.raises(SolverError, match="-1.0 is not a nonnegative integer"):
-            zeros._loop_winding([clockwise])
+            zeros._loop_winding([(None, clockwise)])
 
     def test_a_non_integer_winding_is_a_solver_error(self, monkeypatch):
         # a closed loop's steps sum to a multiple of 2 pi up to rounding, so
         # only phase steps that are wrong reach this check
         monkeypatch.setattr(zeros, "_phase_steps", lambda f: np.full(f.size - 1, np.pi / 4))
         with pytest.raises(SolverError, match="0.5 is not a nonnegative integer"):
-            zeros._loop_winding([np.ones(4, dtype=complex)])
+            zeros._loop_winding([(None, np.ones(4, dtype=complex))])
 
     def test_a_side_on_a_zero_after_five_nudges_is_a_solver_error(self, neumann,
                                                                   monkeypatch):
@@ -464,10 +488,10 @@ def sampled_segments(monkeypatch):
     seen = Counter()
     sample = zeros._sample
 
-    def spy(system, segments):
+    def spy(system, segments, starts=None):
         for z0, z1 in segments:
             seen[frozenset((z0, z1))] += 1
-        return sample(system, segments)
+        return sample(system, segments, starts)
 
     monkeypatch.setattr(zeros, "_sample", spy)
     return seen
@@ -495,7 +519,52 @@ class TestSamplingOnce:
         assert sampled_segments[frozenset((complex(1.0, 1.0), complex(1.0, -0.5)))] == 1
         # the same values as sampling the moved box afresh
         for got, want in zip(sides, zeros._winding_nudged(neumann, used)[3]):
-            assert np.array_equal(got, want)
+            assert got[0] is want[0] is None and np.array_equal(got[1], want[1])
+
+    def test_a_root_side_is_sampled_afresh_once_and_bisection_lines_never(
+            self, systems, band_box, monkeypatch):
+        # the halves' windings check the root's on an independent sampling:
+        # the first split samples the root's bottom and top afresh, two pieces
+        # each, and from then on every piece of a line the bisection sampled
+        # starts from that line's samples
+        calls = []
+        sample = zeros._sample
+
+        def spy(system, segments, starts=None):
+            calls.append([(segment, start is None)
+                          for segment, start in zip(segments, starts or [None] * len(segments))])
+            return sample(system, segments, starts)
+
+        monkeypatch.setattr(zeros, "_sample", spy)
+        find_zeros(systems["W1"], band_box)
+        root, first, *rest = calls
+        box = SearchBox(band_box.re_min, band_box.re_max, band_box.im_min, 1.0)
+        assert {segment for segment, _ in root} == {zeros._segment(box, side)
+                                                   for side in range(4)}
+        assert all(fresh for _, fresh in root + first)
+        assert [sum(_on(segment, zeros._segment(box, side)) for segment, _ in first)
+                for side in (0, 2)] == [2, 2]
+        sampled, inherited = [segment for segment, _ in first], 0
+        for call in rest:
+            for segment, fresh in call:
+                assert fresh == (not any(_on(segment, line) for line in sampled))
+                inherited += not fresh
+            sampled += [segment for segment, _ in call]
+        assert inherited > 100
+
+    def test_subdivision_evaluates_each_line_once(self, systems, band_box, monkeypatch):
+        # 4 359 secular points when every piece was sampled afresh
+        points = _secular_points(monkeypatch)
+        assert len(find_zeros(systems["W1"], band_box)) == 13
+        assert sum(points) <= 2500
+
+    @pytest.mark.parametrize("name, count", [("W1", 13658), ("nW2", 15599)])
+    def test_counting_samples_its_strips_afresh(self, systems, name, count, monkeypatch):
+        # the strips' bottoms and tops are pieces of the root's sides, which
+        # keep their values only, so the strips check the root independently
+        points = _secular_points(monkeypatch)
+        counting_function(systems[name], FIT_GRID)
+        assert sum(points) == count
 
     def test_counting_samples_no_line_twice(self, systems, sampled_segments):
         counting_function(systems["W1"], FIT_GRID)
@@ -507,14 +576,7 @@ class TestSamplingOnce:
         # batches after the first hold the moved cuts and the bottoms and tops
         # of the strips beside them (16 619 points), not every line again
         # (25 784)
-        points = []
-        secular = zeros.secular_many
-
-        def spy(system, ks):
-            points.append(np.size(ks))
-            return secular(system, ks)
-
-        monkeypatch.setattr(zeros, "secular_many", spy)
+        points = _secular_points(monkeypatch)
         positions = [r.k.real for r in band_zeros["W1"]]
         table = dict(counting_function(systems["W1"], np.union1d(FIT_GRID, positions)))
         assert sum(points) < 20000
@@ -527,9 +589,9 @@ class TestSamplingOnce:
         batches = []
         sample = zeros._sample
 
-        def spy(system, segments):
+        def spy(system, segments, starts=None):
             batches.append(len(segments))
-            return sample(system, segments)
+            return sample(system, segments, starts)
 
         monkeypatch.setattr(zeros, "_sample", spy)
         counting_function(systems["W1"], FIT_GRID)
@@ -539,24 +601,18 @@ class TestSamplingOnce:
     def test_counting_batches_its_secular_calls(self, systems, monkeypatch):
         # 120 cuts and 242 strip sides, sampled in batches rather than
         # one call per side and refinement round
-        calls = []
-        secular = zeros.secular_many
-
-        def spy(system, ks):
-            calls.append(np.size(ks))
-            return secular(system, ks)
-
-        monkeypatch.setattr(zeros, "secular_many", spy)
+        calls = _secular_points(monkeypatch)
         counting_function(systems["W1"], FIT_GRID)
         assert len(calls) < 100
 
 
-def _sides(system, box):
-    """The box's four sides sampled in one batch; raises the first boundary error."""
+def _sides(system, box, positions=False):
+    """The box's four sides sampled in one batch, with their values only, like
+    a root box's, or with their positions too; raises the first boundary error."""
     out = zeros._sample(system, [zeros._segment(box, side) for side in range(4)])
     for error in (r for r in out if isinstance(r, zeros.BoundaryProximityError)):
         raise error
-    return [f for _, f in out]
+    return [(t if positions else None, f) for t, f in out]
 
 
 def _alone(system, segments):
@@ -593,7 +649,7 @@ class TestBatchedSampler:
         root = SearchBox(zeros._K_MIN, 400.0, -STRIP_DEPTH, 0.0)
         *_, used, sides = zeros._winding_nudged(build_bond_system(graph), root)
         rule = 8.0 * (used.re_max - used.re_min) * 2.0 * total_length(graph) / np.pi
-        assert sides[2].size >= int(rule) > 13000
+        assert sides[2][1].size >= int(rule) > 13000
 
 
 class TestCountingFunction:
@@ -641,9 +697,9 @@ class TestCountingFunction:
         batches = []
         sample = zeros._sample
 
-        def near(system, segments):
+        def near(system, segments, starts=None):
             batches.append((segments[0][0].real, len(segments)))
-            out = sample(system, segments)
+            out = sample(system, segments, starts)
             out[0] = zeros.BoundaryProximityError("on a zero")
             return out
 
@@ -658,7 +714,7 @@ class TestCountingFunction:
 
     def test_a_non_finite_winding_is_a_solver_error(self):
         with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
-            zeros._loop_winding([np.array([1.0, np.nan, 1j])])
+            zeros._loop_winding([(None, np.array([1.0, np.nan, 1j]))])
 
     def test_strips_must_sum_to_the_root_winding(self, neumann, overcounted_root):
         with pytest.raises(SolverError, match="root winding"):
@@ -730,6 +786,35 @@ class TestStripHelperProperties:
         counts = [zeros._loop_winding(s)[0] for _, s in halves]
         assert counts == [count_zeros(system, half) for half, _ in halves]
         assert sum(counts) == zeros._loop_winding(sides)[0]
+
+    @given(small_open_graphs(), st.floats(0.5, 30.0), st.floats(0.5, 10.0),
+           st.floats(-8.0, -0.5), st.floats(-0.4, 0.5), st.integers(0, 1),
+           st.floats(0.1, 0.9), st.integers(0, 1), st.floats(0.1, 0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_quarters_from_inherited_sides_count_like_fresh_boxes(
+            self, graph, re_min, width, im_min, im_max, axis, frac, which, frac2):
+        # the box's sides keep their positions, so every piece along either
+        # cut starts from the samples of the line it lies on
+        system = build_bond_system(graph)
+        box = SearchBox(re_min, re_min + width, im_min, im_max)
+        try:
+            sides = _sides(system, box, positions=True)
+            lo, hi = zeros._extent(box, axis)
+            halves = zeros._strips(system, box, sides, axis, [lo + (hi - lo) * frac])
+            half, half_sides = halves[which]
+            lo, hi = zeros._extent(half, 1 - axis)
+            quarters = zeros._strips(system, half, half_sides, 1 - axis,
+                                     [lo + (hi - lo) * frac2])
+        except zeros.BoundaryProximityError:
+            assume(False)
+        counts = [zeros._loop_winding(s)[0] for _, s in quarters]
+        assert counts == [count_zeros(system, quarter) for quarter, _ in quarters]
+        assert sum(counts) == zeros._loop_winding(half_sides)[0] == count_zeros(system, half)
+        # each side's values are those at its positions
+        for quarter, quarter_sides in quarters:
+            for side, (t, f) in enumerate(quarter_sides):
+                want = zeros._secular_at(system, [zeros._segment(quarter, side)], [t])[0]
+                np.testing.assert_allclose(f, want, rtol=1e-9)
 
 
 _POINTS = st.builds(complex, st.floats(0.5, 30.0), st.floats(-3.0, 0.5))
