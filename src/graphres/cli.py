@@ -166,13 +166,11 @@ def _cmd_sweep(args, graph: MetricGraph) -> int:
     _emit("\n".join(trace_lines) + "\n", args.out)
     _emit("\n".join(dip_lines) + "\n",
           args.out and str(Path(args.out).with_suffix(".dips.csv")))
-    if trace.dips:
-        zs = find_zeros(system, box)
-        nus = np.array([r.nu for r in zs.resonances])
-        halves = np.array([r.half_width for r in zs.resonances])
+    resonances = find_zeros(system, box).resonances if trace.dips else ()
+    if resonances:
+        nus = np.array([r.nu for r in resonances])
+        halves = np.array([r.half_width for r in resonances])
         for d in trace.dips:
-            if nus.size == 0:
-                break
             j = int(np.argmin(np.abs(nus - d.nu)))
             off = abs(nus[j] - d.nu)
             ratio = off / halves[j] if halves[j] > 0 else np.inf

@@ -2,9 +2,11 @@
 
 With a uniform absorption (an imaginary shift of k) the lossless modulus 1
 develops a dip near the real part of each resonance; dip depth peaks when
-the absorption matches the resonance width.  Overlapping resonances can
-merge into a single dip -- compare dip count against the zero count to flag
-that.
+the absorption matches the resonance width.  A dip is a local minimum whose
+prominence over the lower of its two flanking maxima (a band edge where a
+flank has none) reaches ``DIP_PROMINENCE``, placed by a parabola through the
+minimum and its two neighbours.  Overlapping resonances can merge into one
+dip -- compare the dip count against the zero count to flag that.
 """
 
 from __future__ import annotations
@@ -29,19 +31,15 @@ class Dip:
 
 @dataclass(frozen=True)
 class SweepTrace:
-    nu: np.ndarray        # ascending sample frequencies, Hz
-    modulus: np.ndarray   # |det S| at each sample
-    dips: tuple[Dip, ...]
+    nu: np.ndarray         # ascending sample frequencies, Hz
+    modulus: np.ndarray    # |det S| at each sample
+    dips: tuple[Dip, ...]  # sorted by nu
 
 
 def sweep(system: BondSystem, band: tuple[float, float],
           absorption: float = DEFAULT_ABSORPTION) -> SweepTrace:
-    """Sample |det S| over the band and collect the dips.
-
-    The base grid is refined wherever adjacent samples differ by more than
-    0.2, capped at 2^16 points.  Dips are kept by ``detect_dips`` at its
-    default prominence, ``DIP_PROMINENCE``.
-    """
+    """Sample |det S| over the band, refined wherever adjacent samples differ
+    by 0.2 or more (at most 2^16 points), and collect its dips."""
     nu_min, nu_max = band
     if not (0.0 < nu_min < nu_max < np.inf):
         raise ValueError(f"bad band {band}")
@@ -53,41 +51,20 @@ def sweep(system: BondSystem, band: tuple[float, float],
             break
         jumps = jumps[: _MAX_SAMPLES - nu.size]
         mid = 0.5 * (nu[jumps] + nu[jumps + 1])
-        nu = np.concatenate([nu, mid])
-        y = np.concatenate([y, det_smatrix_modulus(system, mid, absorption)])
-        order = np.argsort(nu)
-        nu, y = nu[order], y[order]
+        nu = np.insert(nu, jumps + 1, mid)
+        y = np.insert(y, jumps + 1, det_smatrix_modulus(system, mid, absorption))
     nu.setflags(write=False)
     y.setflags(write=False)
-    trace = SweepTrace(nu, y, ())
-    return SweepTrace(nu, y, tuple(detect_dips(trace)))
-
-
-def detect_dips(trace: SweepTrace, prominence: float = DIP_PROMINENCE) -> list[Dip]:
-    """Local minima whose prominence clears the threshold, sorted by nu.
-
-    Prominence is measured against the lower of the two neighboring local
-    maxima (the band edge stands in where a flank has no maximum).  Minimum
-    positions are refined by a parabola through the three nearest samples.
-    """
-    nu, y = trace.nu, trace.modulus
-    slope_sign = np.sign(np.diff(y))
-    mins = np.nonzero((slope_sign[:-1] < 0) & (slope_sign[1:] >= 0))[0] + 1
-    maxs = np.nonzero((slope_sign[:-1] > 0) & (slope_sign[1:] <= 0))[0] + 1
-    out = []
-    for i in mins:
-        left_maxs = maxs[maxs < i]
-        right_maxs = maxs[maxs > i]
-        left = y[left_maxs[-1]] if left_maxs.size else y[0]
-        right = y[right_maxs[0]] if right_maxs.size else y[-1]
-        if min(left, right) - y[i] < prominence:
-            continue
-        y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-        curvature = y0 - 2.0 * y1 + y2
-        if curvature > 0.0:
-            offset = np.clip(0.5 * (y0 - y2) / curvature, -1.0, 1.0)
-        else:
-            offset = 0.0
-        pos = nu[i] + offset * 0.5 * (nu[i + 1] - nu[i - 1])
-        out.append(Dip(float(pos), float(1.0 - y1)))
-    return sorted(out, key=lambda d: d.nu)
+    slope = np.sign(np.diff(y))
+    mins = np.nonzero((slope[:-1] < 0) & (slope[1:] >= 0))[0] + 1
+    maxs = np.nonzero((slope[:-1] > 0) & (slope[1:] <= 0))[0] + 1
+    peaks = np.concatenate([y[:1], y[maxs], y[-1:]])
+    left = np.searchsorted(maxs, mins)  # peaks[left] and peaks[left + 1] flank
+    mins = mins[np.minimum(peaks[left], peaks[left + 1]) - y[mins] >= DIP_PROMINENCE]
+    # y[i - 1] > y[i] <= y[i + 1] at a minimum, so the curvature is positive
+    y0, y1, y2 = y[mins - 1], y[mins], y[mins + 1]
+    offset = np.clip(0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2), -1.0, 1.0)
+    pos = nu[mins] + offset * 0.5 * (nu[mins + 1] - nu[mins - 1])
+    order = np.argsort(pos, kind="stable")
+    dips = zip(pos[order].tolist(), (1.0 - y1[order]).tolist())
+    return SweepTrace(nu, y, tuple(Dip(p, depth) for p, depth in dips))

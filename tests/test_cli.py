@@ -260,6 +260,16 @@ class TestSweep:
         assert len(dips) == EXPECTED_COUNTS["nW1"]
         assert err.count("-> resonance") == len(dips)
 
+    def test_a_box_without_zeros_cross_references_nothing(self, capsys, tmp_path):
+        # Im k >= -0.001 holds none of W1's zeros, so the dips go unmatched
+        out = tmp_path / "trace.csv"
+        code, _, err = run(capsys, "sweep", "--fixture", "W1", "--absorption", "default",
+                           "--depth", "0.001", "--out", str(out))
+        assert code == 0
+        _, dips = rows((tmp_path / "trace.dips.csv").read_text())
+        assert len(dips) == 10
+        assert "-> resonance" not in err
+
     def test_stdout_gets_both_tables(self, capsys):
         code, out, _ = run(capsys, "sweep", "--fixture", "nW1",
                            "--fmin-ghz", "0.4", "--fmax-ghz", "0.6",

@@ -78,6 +78,10 @@ class TestLengths:
     def test_leads_contribute_nothing(self):
         assert total_length(interval(2.5, leads=2)) == 2.5
 
+    def test_an_interval_has_at_most_two_leads(self):
+        with pytest.raises(ValueError, match="at most one lead per endpoint"):
+            interval(1.0, leads=3)
+
 
 class TestBalance:
     def test_balanced_vertex_of_nW1(self):
@@ -141,6 +145,10 @@ class TestCable:
     def test_rejects_bad_radii(self):
         with pytest.raises(GraphError):
             CableSpec(0.002, 0.001, 2.06)
+
+    def test_rejects_epsilon_below_one(self):
+        with pytest.raises(GraphError, match="dielectric constant must be >= 1"):
+            CableSpec(0.0005, 0.0015, 0.5)
 
     def test_cutoff_near_33_ghz(self):
         nu_c = cutoff_frequency(CableSpec(0.0005, 0.0015, 2.06))

@@ -96,6 +96,10 @@ def test_data_before_section():
 def test_wrong_field_count():
     with pytest.raises(GraphError, match="line 2"):
         parse_graph("[edges]\n1 1 2\n")
+    with pytest.raises(GraphError, match="line 4: expected: lead_id vertex"):
+        parse_graph("[edges]\n1 1 2 0.5\n[leads]\n1\n")
+    with pytest.raises(GraphError, match=r"line 4: expected: r1\|r2\|epsilon value"):
+        parse_graph("[edges]\n1 1 2 0.5\n[cable]\nr3 0.0005\n")
 
 
 def test_incomplete_cable():
@@ -110,3 +114,6 @@ def test_validation_still_applies():
         parse_graph("[edges]\n1 1 2 0.5\n2 3 4 0.5\n")
     with pytest.raises(GraphError, match="non-positive length"):
         parse_graph("[edges]\n1 1 2 0.0\n")
+    # a cable graph converts lengths, so it checks them before the conversion
+    with pytest.raises(GraphError, match="edge 1 has non-positive length"):
+        parse_graph("[edges]\n1 1 2 0.0\n[cable]\nr1 0.0005\nr2 0.0015\nepsilon 2.06\n")

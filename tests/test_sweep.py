@@ -9,7 +9,6 @@ from graphres import (
     MetricGraph,
     SearchBox,
     build_bond_system,
-    detect_dips,
     find_zeros,
     fixture,
     sweep,
@@ -91,9 +90,12 @@ class TestDips:
                 trace = sweep(system, BAND_HZ, absorption=absorption)
                 assert len(trace.dips) <= len(band_zeros[name])
 
-    def test_higher_prominence_keeps_fewer_dips(self, nw1_trace):
-        loose = detect_dips(nw1_trace, prominence=0.001)
-        strict = detect_dips(nw1_trace, prominence=0.05)
+    def test_higher_prominence_keeps_fewer_dips(self, systems, nw1_trace, monkeypatch):
+        module = importlib.import_module("graphres.sweep")
+        monkeypatch.setattr(module, "DIP_PROMINENCE", 0.001)
+        loose = sweep(systems["nW1"], BAND_HZ, DEFAULT_ABSORPTION).dips
+        monkeypatch.setattr(module, "DIP_PROMINENCE", 0.05)
+        strict = sweep(systems["nW1"], BAND_HZ, DEFAULT_ABSORPTION).dips
         assert len(strict) <= len(loose)
         assert len(loose) >= len(nw1_trace.dips)
 

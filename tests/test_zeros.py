@@ -475,6 +475,27 @@ class TestFailurePaths:
             count_zeros(neumann, SearchBox(1.0, 3 * np.pi + 1e-4, -0.5, 0.0))
         assert failures == ["side refinement exceeded 17 samples"] * 5
 
+    def test_a_singular_first_newton_step_accepts_the_box_centre(self, systems, monkeypatch):
+        # a +-1e-9 box round W1's zero near 16.8258 - 0.8891i: the centre
+        # already passes the residual gate
+        k = 16.825755091440058 - 0.8890841257805225j
+        calls = []
+
+        def singular(system, point):
+            calls.append(point)
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(zeros, "log_derivative", singular)
+        box = SearchBox(k.real - 1e-9, k.real + 1e-9, k.imag - 1e-9, k.imag + 1e-9)
+        r = zeros._newton(systems["W1"], box, 1.0)
+        assert len(calls) == 1
+        assert r.k == pytest.approx(k, abs=1e-12)
+        assert r.residual <= zeros._RESIDUAL_REL
+
+    def test_a_zero_log_derivative_shrinks_the_box(self, systems, monkeypatch):
+        monkeypatch.setattr(zeros, "log_derivative", lambda system, k: 0j)
+        assert zeros._newton(systems["W1"], SearchBox(16.0, 17.5, -1.5, 0.0), 1.0) is None
+
     def test_subdivision_deeper_than_the_cap_is_a_solver_error(self, neumann, monkeypatch):
         # three zeros need at least two splits
         monkeypatch.setattr(zeros, "_MAX_DEPTH", 1)
