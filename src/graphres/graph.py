@@ -182,7 +182,9 @@ def effective_size(graph: MetricGraph) -> float:
 def _near_balanced(graph: MetricGraph) -> list[int]:
     """Indices of the edges that touch the closure of the balanced vertices,
     which takes in each vertex of excess (bond ends - leads) 2j with j ends on
-    such edges: without those it has as many ends as leads."""
+    such edges: without those it has as many ends as leads.  The one closure:
+    :func:`effective_size` searches these edges, and the vertex form of
+    ``scattering`` is trusted down to a depth set by the longest of them."""
     excess = {r.vertex: r.internal_degree - r.lead_count
               for r in balance_report(graph).per_vertex}
     reached = {v for v, x in excess.items() if x == 0}

@@ -50,9 +50,11 @@ down to Im k = -40.  A balanced vertex has no constant term, and its row of
 H cancels along chains of edges: joined to a closed vertex it gives a block
 determinant of order 1/(s_1 s_2) out of terms of order 1/s_1, so the
 relative error grows like a power of ``|1/w_e| = e^{-Im k l_e}``.  The
-chains pass only through vertices of bond ends - leads = 0 or 2 (see
-``_vertex_depth``), and a point below Im k = -1.5/l, l the longest edge
-they reach (``vertex_depth``), is the other kind.  Short of that bound, on
+chains stay within the closure of the balanced vertices that
+``effective_size`` searches (``graph._near_balanced``: it takes in a vertex
+of bond ends - leads = 2j once j of its ends lie on its edges), and a point
+below Im k = -1.5/l, l the longest vertex-form edge that holds an edge of
+the closure (``vertex_depth``), is the other kind.  Short of that bound, on
 about 4 660 random 2-5-vertex graphs with a balanced vertex (8 points each,
 down to Im k = -8), the vertex form stays within 5.1e-13 of the bond matrix
 relative to max(|.|, 1), for the determinant and S.
@@ -67,11 +69,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0
-from .graph import MetricGraph
+from .graph import MetricGraph, _near_balanced
 
 # the vertex form loses digits below this min_e |1 - e^{2ik l_e}|, and on a
 # graph with a balanced vertex above this (-Im k) l = -log |e^{-ik l}|, l
-# the longest edge the balanced rows reach (see _vertex_depth)
+# the longest vertex-form edge that holds an edge of graph._near_balanced
 _MIN_EDGE_GAP = 1e-2
 _MAX_EDGE_DEPTH = 1.5
 # log_derivative factors H only from this bond count up: below it, solving
@@ -101,8 +103,8 @@ class BondSystem:
     # group its coefficient columns (w/s per edge, then -w^2/s per edge), the
     # index of its first term, its flat position and its row weight
     h_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    # the deepest -Im k the vertex form serves (see _vertex_depth): finite
-    # only with a balanced vertex (some h0_v = 0)
+    # the deepest -Im k the vertex form serves (see the module docstring):
+    # finite only with a balanced vertex (some h0_v = 0)
     vertex_depth: float
     # the order of F's zero at k = 0: E - V + 1 over the vertex form's V
     # vertices with edges, plus 1 if none of them has a lead
@@ -162,11 +164,11 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
     # vertex of two bond ends on two distinct edges.  A merge never makes
     # another vertex mergeable, so one pass suffices.
     pairs = [[e.a, e.b] for e in graph.edges]
-    joined = [[l] for l in ell]
+    joined = [[i] for i in range(N)]
     on = {v: [c % N for c in out if c < n] for v, out in channels.items()}
     for v, out in channels.items():
         if len(out) == 2 == len(on[v]) and on[v][0] != on[v][1]:
-            i, j = on[v]  # edge i takes edge j's far end y and its lengths
+            i, j = on[v]  # edge i takes edge j's far end y and its edges
             y = pairs[j][pairs[j][0] == v]
             pairs[i][pairs[i].index(v)] = y
             joined[i] += joined[j]
@@ -180,14 +182,18 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
     ends = ends.reshape(-1, 2)
     # one rounding per merged edge: on random 2-5-vertex graphs a running
     # sum put det M up to 1.5e-13 off the bond matrix, this 8.6e-14
-    vertex_lengths = np.array([math.fsum(joined[i]) for i in kept])
+    vertex_lengths = np.array([math.fsum(graph.edges[j].length for j in joined[i])
+                               for i in kept])
     degree = np.array([len(channels[v]) for v in on])
     bond_ends = np.bincount(ends.ravel(), minlength=degree.size)
     excess = 2 * bond_ends - degree
     weights = 2.0 / degree
     anchors = np.array([index[l.anchor] for l in graph.leads], dtype=np.intp)
     h_terms = _vertex_terms(ends, degree, excess)
-    vertex_depth = _vertex_depth(ends, vertex_lengths, excess)
+    # 1.5/l, l the longest vertex-form edge that holds an edge of the closure
+    near = set(_near_balanced(graph))
+    vertex_depth = min((_MAX_EDGE_DEPTH / l for i, l in zip(kept, vertex_lengths)
+                        if near.intersection(joined[i])), default=np.inf)
     V = np.count_nonzero(bond_ends)
     order_at_zero = int(V and len(kept) - V + 1 + (not bond_ends[anchors].any()))
     for a in (lengths, sigma, lead_in, lead_out, lead_reflect, weights, anchors,
@@ -195,29 +201,6 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
         a.setflags(write=False)
     return BondSystem(lengths, sigma, lead_in, lead_out, lead_reflect, weights,
                       anchors, vertex_lengths, h_terms, vertex_depth, order_at_zero)
-
-
-def _vertex_depth(ends: np.ndarray, lengths: np.ndarray, excess: np.ndarray) -> float:
-    """The deepest -Im k the vertex form serves: ``_MAX_EDGE_DEPTH / l``.
-
-    A balanced vertex (bond ends - leads = 0) has no constant term, and the
-    leading deep term of its row carries ``1 + 2/(leads_a - ends_a)`` per
-    neighbour a, so it cancels only through neighbours of excess 0 or 2.
-    l is the longest edge reached from a balanced vertex through such
-    vertices; without a balanced vertex every depth is served.
-    """
-    reached = excess == 0
-    if not reached.any():
-        return np.inf
-    a, b = ends.T
-    while True:
-        edges = reached[a] | reached[b]
-        grown = np.zeros_like(reached)
-        grown[a[edges]] = grown[b[edges]] = True
-        grown &= (excess == 0) | (excess == 2)
-        if (grown == reached).all():
-            return _MAX_EDGE_DEPTH / lengths[edges].max()
-        reached = grown
 
 
 def _vertex_terms(ends: np.ndarray, degree: np.ndarray, excess: np.ndarray):

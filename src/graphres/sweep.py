@@ -4,9 +4,9 @@ With a uniform absorption (an imaginary shift of k) the lossless modulus 1
 develops a dip near the real part of each resonance; dip depth peaks when
 the absorption matches the resonance width.  A dip is a local minimum whose
 prominence over the lower of its two flanking maxima (a band edge where a
-flank has none) reaches ``DIP_PROMINENCE``, placed by a parabola through the
-minimum and its two neighbours.  Overlapping resonances can merge into one
-dip -- compare the dip count against the zero count to flag that.
+flank has none) reaches ``DIP_PROMINENCE``, placed at the vertex of the
+parabola through the minimum and its two neighbours.  Overlapping resonances
+can merge into one dip -- compare the dip count against the zero count.
 """
 
 from __future__ import annotations
@@ -61,10 +61,12 @@ def sweep(system: BondSystem, band: tuple[float, float],
     peaks = np.concatenate([y[:1], y[maxs], y[-1:]])
     left = np.searchsorted(maxs, mins)  # peaks[left] and peaks[left + 1] flank
     mins = mins[np.minimum(peaks[left], peaks[left + 1]) - y[mins] >= DIP_PROMINENCE]
-    # y[i - 1] > y[i] <= y[i + 1] at a minimum, so the curvature is positive
+    # the parabola's vertex, on unequal spacing too: y[i - 1] > y[i] <= y[i + 1],
+    # so ta >= 0 > tb, and the vertex lies within half the neighbours' span
     y0, y1, y2 = y[mins - 1], y[mins], y[mins + 1]
-    offset = np.clip(0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2), -1.0, 1.0)
-    pos = nu[mins] + offset * 0.5 * (nu[mins + 1] - nu[mins - 1])
+    a, b = nu[mins - 1] - nu[mins], nu[mins + 1] - nu[mins]
+    ta, tb = a * (y1 - y2), b * (y1 - y0)
+    pos = nu[mins] + 0.5 * (a * ta - b * tb) / (ta - tb)
     order = np.argsort(pos, kind="stable")
     dips = zip(pos[order].tolist(), (1.0 - y1[order]).tolist())
     return SweepTrace(nu, y, tuple(Dip(p, depth) for p, depth in dips))

@@ -435,11 +435,11 @@ def _newton(system, box, scale):
             break
     else:
         return None
-    residual = float(np.abs(secular_many(system, [k])[0]))
-    if residual > _RESIDUAL_REL * scale:
-        return None
     # the zero must belong to this leaf, not a neighbor's basin
     if not box.contains(k, _DEDUP_RADIUS):
+        return None
+    residual = float(np.abs(secular_many(system, [k])[0]))
+    if residual > _RESIDUAL_REL * scale:
         return None
     return Resonance(k, residual)
 

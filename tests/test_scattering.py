@@ -621,6 +621,22 @@ def test_balanced_pendant_behind_a_lead_free_chain_against_50_digits():
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 
+def test_depth_bound_reaches_the_closure_through_an_even_excess(bond_points):
+    # vertex 1 is balanced; vertex 2 has four bond ends and no lead, two of
+    # them on edges of vertex 1, so the closure takes it in, and the bound
+    # comes from the 1 m loop (1.5), not from the 0.4 m edge (3.75)
+    graph = MetricGraph(
+        (Edge(1, 1, 2, 0.3), Edge(2, 1, 2, 0.4), Edge(3, 2, 2, 1.0)),
+        (Lead(1, 1), Lead(2, 1)),
+    )
+    system = build_bond_system(graph)
+    assert system.vertex_depth == 1.5
+    ks = np.array([complex(re, -fraction * system.vertex_depth)
+                   for re in (3.0, 37.3, 211.9) for fraction in (0.3, 0.7, 1.0)])
+    _assert_reduction(system, ks)
+    assert not bond_points
+
+
 class TestBatching:
     def test_batches_equal_single_points_bitwise(self, monkeypatch):
         import graphres.scattering

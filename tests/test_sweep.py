@@ -66,6 +66,23 @@ class TestRefinement:
         assert np.all(np.diff(trace.nu) > 0.0)
         assert np.max(np.abs(np.diff(trace.modulus))) < 0.2
 
+    def test_dips_lie_at_the_vertex_through_their_three_samples(self, systems):
+        # refinement leaves some minima between unequal spacings
+        trace = sweep(systems["nW1"], self.BAND, absorption=1e-3)
+        assert trace.dips
+        unequal = 0
+        for d in trace.dips:
+            i = np.searchsorted(trace.nu, d.nu)
+            i = i if trace.modulus[i] < trace.modulus[i - 1] else i - 1
+            assert 1.0 - trace.modulus[i] == d.depth
+            nu = trace.nu[i - 1:i + 2] - trace.nu[i]
+            c2, c1, _ = np.polyfit(nu, trace.modulus[i - 1:i + 2], 2)
+            span = nu[2] - nu[0]
+            assert abs(d.nu - (trace.nu[i] - 0.5 * c1 / c2)) <= 1e-6 * span
+            unequal += not np.isclose(-nu[0], nu[2])
+        assert unequal
+
+
     def test_stops_at_the_sample_cap(self, systems, monkeypatch):
         module = importlib.import_module("graphres.sweep")
         monkeypatch.setattr(module, "_MAX_SAMPLES", 16386)
