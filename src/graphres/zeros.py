@@ -3,9 +3,11 @@
 The secular determinant is entire in k, so the number of zeros inside a
 rectangle equals the winding number of its boundary image around 0.  Boxes
 are subdivided until each contains a single zero, which Newton iteration on
-the logarithmic derivative then pins to ~1e-12.  The counting function N(R)
-locates no zeros: it cuts one strip at every R and sums the windings of the
-sub-strips.
+the logarithmic derivative then pins to ~1e-12.  Newton starts at the zero's
+contour moment, the trapezoid rule over the samples the winding took, or at
+the box centre if that lies outside the box or a side has no positions (a
+root side keeps its values only).  The counting function N(R) locates no
+zeros: it cuts one strip at every R and sums the windings of the sub-strips.
 
 Every line is sampled through ``_strips``: the four sides of a root box, or
 the cuts of a box with the new sides of its parts, in one batch whose every
@@ -357,8 +359,9 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
     """All secular zeros in (re_min, re_max] x (im_min, im_max], polished to ~1e-12.
 
     The box is bisected (axes alternating) until each leaf holds one zero by
-    winding count; Newton from the leaf center does the rest.  The final list
-    is checked against the root winding total.
+    winding count; Newton from the leaf's contour moment (:func:`_moment`),
+    or from its centre, does the rest.  The final list is checked against the
+    root winding total.
     """
     total, scale, box, sides = _winding_nudged(system, box)
     found: list[Resonance] = []
@@ -383,11 +386,11 @@ def _subdivide(system, box, sides, count, scale, depth, out):
             f"{count} or a solver defect"
         )
     if count == 1:
-        zero = _newton(system, box, scale)
+        zero = _newton(system, box, scale, _moment(system, box, sides))
         if zero is not None:
             out.append(zero)
             return
-        # Newton failed from this leaf's center: shrink and retry
+        # Newton failed from this leaf's start: shrink and retry
     axis = depth % 2
     lo, hi = _extent(box, axis)
     for frac in _SPLIT_FRACTIONS:
@@ -408,11 +411,35 @@ def _subdivide(system, box, sides, count, scale, depth, out):
     raise SolverError(f"no clean split line found for {box}")
 
 
-def _newton(system, box, scale):
-    """Newton via the logarithmic derivative: the accepted zero with its
-    residual |secular(k)|, or None to signal 'shrink the box'."""
-    k = complex(0.5 * (box.re_min + box.re_max),
-                min(0.0, 0.5 * (box.im_min + box.im_max)))  # no zero lies above
+def _moment(system, box, sides):
+    """The one zero of a count-1 box from its sampled sides, or None if a side
+    has no positions.
+
+    z = c - (1/2 pi i) oint log f dk round the loop from its first corner c
+    (Delves & Lyness, Math. Comp. 21 (1967) 543), by the trapezoid rule over
+    the samples.  log f = log|f| + i (phase + beta arg k), the phase summed
+    from the steps ``_loop_winding`` counted: the sides wind
+    f (conj k/|k|)^beta, and the moment needs f itself.
+    """
+    if any(t is None for t, _ in sides):
+        return None
+    segments = [_segment(box, side) for side in range(4)]
+    ks = np.concatenate([z0 + (z1 - z0) * t for (z0, z1), (t, _) in zip(segments, sides)])
+    f = np.concatenate([f for _, f in sides])
+    phase = np.concatenate(([0.0], np.cumsum(_phase_steps(f))))
+    log_f = np.log(np.abs(f)) + 1j * (phase + system.order_at_zero * np.angle(ks))
+    integral = np.sum(0.5 * (log_f[1:] + log_f[:-1]) * np.diff(ks))
+    return complex(ks[0] - integral / (2j * np.pi))
+
+
+def _newton(system, box, scale, start):
+    """Newton via the logarithmic derivative from ``start`` (:func:`_moment`),
+    or from the leaf centre if that is None or outside the box: the accepted
+    zero with its residual |secular(k)|, or None to signal 'shrink the box'."""
+    k = start
+    if k is None or not box.contains(k):
+        k = complex(0.5 * (box.re_min + box.re_max),
+                    min(0.0, 0.5 * (box.im_min + box.im_max)))  # no zero lies above
     margin = max(box.re_max - box.re_min, box.im_max - box.im_min)
     prev, grew = np.inf, 0
     for _ in range(80):

@@ -32,6 +32,7 @@ from conftest import EXPECTED_COUNTS
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 DATA = Path(__file__).resolve().parent / "data"
+WIDE_BOX = SearchBox.from_band(0.3e9, 6.0e9)
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +285,7 @@ class TestFindZeros:
         # every leaf polishes to the same zero: the dedup keeps one, which
         # falls short of the root winding
         monkeypatch.setattr(zeros, "_newton",
-                            lambda system, box, scale: zeros.Resonance(5.0 + 0j, 0.0))
+                            lambda system, box, scale, start: zeros.Resonance(5.0 + 0j, 0.0))
         with pytest.raises(SolverError,
                            match="located 1 zeros but the boundary winding says 3"):
             find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
@@ -387,6 +388,38 @@ def _secular_points(monkeypatch):
     return points
 
 
+def _log_derivative_points(monkeypatch):
+    """The point of each ``log_derivative`` call, in order."""
+    points = []
+    log_derivative = zeros.log_derivative
+
+    def spy(system, k):
+        points.append(k)
+        return log_derivative(system, k)
+
+    monkeypatch.setattr(zeros, "log_derivative", spy)
+    return points
+
+
+def _newton_runs(monkeypatch):
+    """(leaf, start, accepted zero or None) of each ``_newton`` call, in order."""
+    runs = []
+    newton = zeros._newton
+
+    def spy(system, box, scale, start):
+        runs.append((box, start, newton(system, box, scale, start)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(zeros, "_newton", spy)
+    return runs
+
+
+def _centre(box):
+    """Newton's fallback start: the box centre, Im k clamped to <= 0."""
+    return complex(0.5 * (box.re_min + box.re_max),
+                   min(0.0, 0.5 * (box.im_min + box.im_max)))
+
+
 def _on(piece, line):
     """Whether the segment ``piece`` lies on the segment ``line``, both
     horizontal or vertical."""
@@ -405,8 +438,8 @@ class TestFailurePaths:
         newton, results = zeros._newton, []
         secular, residuals = zeros.secular_many, []
 
-        def spy_newton(system, box, scale):
-            results.append(newton(system, box, scale))
+        def spy_newton(system, box, scale, start):
+            results.append(newton(system, box, scale, start))
             return results[-1]
 
         def spy_secular(system, ks):
@@ -487,20 +520,75 @@ class TestFailurePaths:
 
         monkeypatch.setattr(zeros, "log_derivative", singular)
         box = SearchBox(k.real - 1e-9, k.real + 1e-9, k.imag - 1e-9, k.imag + 1e-9)
-        r = zeros._newton(systems["W1"], box, 1.0)
+        r = zeros._newton(systems["W1"], box, 1.0, None)
         assert len(calls) == 1
         assert r.k == pytest.approx(k, abs=1e-12)
         assert r.residual <= zeros._RESIDUAL_REL
 
     def test_a_zero_log_derivative_shrinks_the_box(self, systems, monkeypatch):
         monkeypatch.setattr(zeros, "log_derivative", lambda system, k: 0j)
-        assert zeros._newton(systems["W1"], SearchBox(16.0, 17.5, -1.5, 0.0), 1.0) is None
+        assert zeros._newton(systems["W1"], SearchBox(16.0, 17.5, -1.5, 0.0), 1.0, None) is None
 
     def test_subdivision_deeper_than_the_cap_is_a_solver_error(self, neumann, monkeypatch):
         # three zeros need at least two splits
         monkeypatch.setattr(zeros, "_MAX_DEPTH", 1)
         with pytest.raises(SolverError, match="subdivision depth exceeded"):
             find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
+
+
+class TestMomentStart:
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "g1-e40"])
+    def test_each_zero_lies_near_its_leaf_moment(self, systems, name, monkeypatch):
+        # the trapezoid rule over the winding's samples: at most 0.93% of the
+        # leaf's larger side on these bands, where every leaf has positions
+        system, box = ((systems[name], WIDE_BOX) if name in systems
+                       else (_data_system(name), SearchBox.from_band(1.0e9, 1.3e9)))
+        runs = _newton_runs(monkeypatch)
+        zs = find_zeros(system, box)
+        accepted = [(leaf, start, r) for leaf, start, r in runs if r is not None]
+        assert len(accepted) == len(zs) > 0
+        for leaf, start, r in accepted:
+            side = max(leaf.re_max - leaf.re_min, leaf.im_max - leaf.im_min)
+            assert abs(r.k - start) <= 0.02 * side
+
+    def test_newton_takes_at_most_five_log_derivatives_per_zero(
+            self, systems, band_box, monkeypatch):
+        # 178 calls from the leaf centres, 52 from the moments
+        points = _log_derivative_points(monkeypatch)
+        assert len(find_zeros(systems["W1"], band_box)) == 13
+        assert len(points) <= 5 * 13
+
+    def test_a_root_box_without_positions_starts_at_the_centre(self, neumann, monkeypatch):
+        # a root box's sides keep their values only: its one zero, pi, is
+        # found from the centre of the box searched
+        box = SearchBox(2.0, 4.0, -0.5, 0.0)
+        *_, used, sides = zeros._winding_nudged(neumann, box)
+        assert zeros._moment(neumann, used, sides) is None
+        points = _log_derivative_points(monkeypatch)
+        runs = _newton_runs(monkeypatch)
+        [r] = find_zeros(neumann, box)
+        assert [(leaf, start) for leaf, start, _ in runs] == [(used, None)]
+        assert points[0] == _centre(used) == 3.0
+        assert r.k == pytest.approx(np.pi, abs=1e-10)
+
+    def test_a_moment_outside_the_box_starts_at_the_centre(
+            self, systems, band_box, band_zeros, monkeypatch):
+        # every estimate lands outside its leaf: each Newton starts at the
+        # leaf centre, as before the moments, and the zeros stand
+        monkeypatch.setattr(zeros, "_moment",
+                            lambda system, box, sides: complex(2.0 * box.re_max, 0.0))
+        points = _log_derivative_points(monkeypatch)
+        firsts = []
+        newton = zeros._newton
+
+        def spy(system, box, scale, start):
+            firsts.append((len(points), _centre(box)))
+            return newton(system, box, scale, start)
+
+        monkeypatch.setattr(zeros, "_newton", spy)
+        ks = [r.k for r in find_zeros(systems["W1"], band_box)]
+        assert ks == pytest.approx([r.k for r in band_zeros["W1"]], abs=1e-10)
+        assert [points[i] for i, _ in firsts] == [centre for _, centre in firsts]
 
 
 @pytest.fixture()
@@ -543,11 +631,12 @@ class TestSamplingOnce:
             assert got[0] is want[0] is None and np.array_equal(got[1], want[1])
 
     def test_a_root_side_is_sampled_afresh_once_and_bisection_lines_never(
-            self, systems, band_box, monkeypatch):
+            self, systems, monkeypatch):
         # the halves' windings check the root's on an independent sampling:
         # the first split samples the root's bottom and top afresh, two pieces
         # each, and from then on every piece of a line the bisection sampled
-        # starts from that line's samples
+        # starts from that line's samples (216 on this band, whose 38 zeros
+        # need deep bisection)
         calls = []
         sample = zeros._sample
 
@@ -557,9 +646,9 @@ class TestSamplingOnce:
             return sample(system, segments, starts)
 
         monkeypatch.setattr(zeros, "_sample", spy)
-        find_zeros(systems["W1"], band_box)
+        find_zeros(systems["W1"], WIDE_BOX)
         root, first, *rest = calls
-        box = SearchBox(band_box.re_min, band_box.re_max, band_box.im_min, 1.0)
+        box = SearchBox(WIDE_BOX.re_min, WIDE_BOX.re_max, WIDE_BOX.im_min, 1.0)
         assert {segment for segment, _ in root} == {zeros._segment(box, side)
                                                    for side in range(4)}
         assert all(fresh for _, fresh in root + first)
@@ -574,10 +663,11 @@ class TestSamplingOnce:
         assert inherited > 100
 
     def test_subdivision_evaluates_each_line_once(self, systems, band_box, monkeypatch):
-        # 4 359 secular points when every piece was sampled afresh
+        # 4 359 secular points when every piece was sampled afresh, 2 010 when
+        # Newton started at the leaf centres and failed starts bisected further
         points = _secular_points(monkeypatch)
         assert len(find_zeros(systems["W1"], band_box)) == 13
-        assert sum(points) <= 2500
+        assert sum(points) <= 2000
 
     @pytest.mark.parametrize("name, count", [("W1", 13658), ("nW2", 15599)])
     def test_counting_samples_its_strips_afresh(self, systems, name, count, monkeypatch):
