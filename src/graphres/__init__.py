@@ -3,14 +3,12 @@
 from .constants import C0, DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, DIP_PROMINENCE, STRIP_DEPTH
 from .fixtures import FIXTURE_NAMES, fixture, interval
 from .graph import (
-    BalanceReport,
     CableSpec,
     Edge,
     GraphError,
     Lead,
     MetricGraph,
-    VertexBalance,
-    balance_report,
+    balanced_vertices,
     cutoff_frequency,
     effective_size,
     optical_length,
@@ -55,14 +53,12 @@ __all__ = [
     "FIXTURE_NAMES",
     "fixture",
     "interval",
-    "BalanceReport",
     "CableSpec",
     "Edge",
     "GraphError",
     "Lead",
     "MetricGraph",
-    "VertexBalance",
-    "balance_report",
+    "balanced_vertices",
     "cutoff_frequency",
     "effective_size",
     "optical_length",

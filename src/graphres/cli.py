@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, STRIP_DEPTH
 from .fixtures import FIXTURE_NAMES, fixture
-from .graph import GraphError, MetricGraph, balance_report, cutoff_frequency
+from .graph import GraphError, MetricGraph, balanced_vertices, cutoff_frequency
 from .graphio import load_graph
 from .scattering import build_bond_system
 from .sweep import sweep
@@ -140,7 +140,7 @@ def _cmd_classify(args, graph: MetricGraph) -> int:
     lines = [CSV_HEADER, report_csv_row(name, report)]
     if report.classification == NON_WEYL:
         ell_s, vertex, edge_id = min((e.length, v, e.id)
-                                     for v in balance_report(graph).balanced_vertices
+                                     for v in balanced_vertices(graph)
                                      for e in graph.edges if v in (e.a, e.b))
         lines.append(f"# balanced_vertex={vertex} shortest_edge={edge_id} ell_s={ell_s:g}")
     _emit("\n".join(lines) + "\n", args.out)

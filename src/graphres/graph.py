@@ -113,31 +113,16 @@ def total_length(graph: MetricGraph) -> float:
     return math.fsum(e.length for e in graph.edges)
 
 
-@dataclass(frozen=True)
-class VertexBalance:
-    vertex: int
-    internal_degree: int
-    lead_count: int
-
-    @property
-    def balanced(self) -> bool:
-        return self.lead_count > 0 and self.internal_degree == self.lead_count
+def _excess(graph: MetricGraph) -> dict[int, int]:
+    """Each vertex's bond ends minus its leads; a self-loop gives 2 ends."""
+    excess = Counter(v for e in graph.edges for v in (e.a, e.b))
+    excess.subtract(l.anchor for l in graph.leads)
+    return {v: excess[v] for v in graph.vertices}
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    per_vertex: tuple[VertexBalance, ...]
-
-    @property
-    def balanced_vertices(self) -> tuple[int, ...]:
-        return tuple(r.vertex for r in self.per_vertex if r.balanced)
-
-
-def balance_report(graph: MetricGraph) -> BalanceReport:
-    """Per-vertex lead/edge balance; a self-loop adds 2 to the internal degree."""
-    deg = Counter([e.a for e in graph.edges] + [e.b for e in graph.edges])
-    nlead = Counter(l.anchor for l in graph.leads)
-    return BalanceReport(tuple(VertexBalance(v, deg[v], nlead[v]) for v in graph.vertices))
+def balanced_vertices(graph: MetricGraph) -> tuple[int, ...]:
+    """The vertices with as many leads as bond ends, ascending."""
+    return tuple(v for v, x in _excess(graph).items() if x == 0)
 
 
 def effective_size(graph: MetricGraph) -> float:
@@ -153,8 +138,8 @@ def effective_size(graph: MetricGraph) -> float:
         return L
     start = [e.a for e in graph.edges] + [e.b for e in graph.edges]
     end = start[N:] + start[:N]
-    degree = {r.vertex: r.internal_degree + r.lead_count for r in balance_report(graph).per_vertex}
-    deg = [degree[v] for v in start]
+    channels = Counter(start + [l.anchor for l in graph.leads])  # bond ends + leads
+    deg = [channels[v] for v in start]
     rows = [[2 * (end[c] == start[b]) - deg[b] * (c == (b + N) % (2 * N))
              for c in range(2 * N)] for b in range(2 * N)]
 
@@ -185,8 +170,7 @@ def _near_balanced(graph: MetricGraph) -> list[int]:
     such edges: without those it has as many ends as leads.  The one closure:
     :func:`effective_size` searches these edges, and the vertex form of
     ``scattering`` is trusted down to a depth set by the longest of them."""
-    excess = {r.vertex: r.internal_degree - r.lead_count
-              for r in balance_report(graph).per_vertex}
+    excess = _excess(graph)
     reached = {v for v, x in excess.items() if x == 0}
     while True:
         near = [i for i, e in enumerate(graph.edges) if reached & {e.a, e.b}]

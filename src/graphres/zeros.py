@@ -4,10 +4,11 @@ The secular determinant is entire in k, so the number of zeros inside a
 rectangle equals the winding number of its boundary image around 0.  Boxes
 are subdivided until each contains a single zero, which Newton iteration on
 the logarithmic derivative then pins to ~1e-12.  Newton starts at the zero's
-contour moment, the trapezoid rule over the samples the winding took, or at
-the box centre if that lies outside the box or a side has no positions (a
-root side keeps its values only).  The counting function N(R) locates no
-zeros: it cuts one strip at every R and sums the windings of the sub-strips.
+contour moment, the trapezoid rule over the samples the winding took.  A leaf
+with a side that has no positions (a root side keeps its values only) is
+bisected instead: after at most two splits every side carries positions.
+The counting function N(R) locates no zeros: it cuts one strip at every R and
+sums the windings of the sub-strips.
 
 Every line is sampled through ``_strips``: the four sides of a root box, or
 the cuts of a box with the new sides of its parts, in one batch whose every
@@ -359,9 +360,9 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
     """All secular zeros in (re_min, re_max] x (im_min, im_max], polished to ~1e-12.
 
     The box is bisected (axes alternating) until each leaf holds one zero by
-    winding count; Newton from the leaf's contour moment (:func:`_moment`),
-    or from its centre, does the rest.  The final list is checked against the
-    root winding total.
+    winding count and its sides carry positions; Newton from the leaf's
+    contour moment (:func:`_moment`) does the rest.  The final list is
+    checked against the root winding total.
     """
     total, scale, box, sides = _winding_nudged(system, box)
     found: list[Resonance] = []
@@ -385,12 +386,12 @@ def _subdivide(system, box, sides, count, scale, depth, out):
             f"subdivision depth exceeded near {box}; zero of multiplicity "
             f"{count} or a solver defect"
         )
-    if count == 1:
-        zero = _newton(system, box, scale, _moment(system, box, sides))
+    if count == 1 and (start := _moment(system, box, sides)) is not None:
+        zero = _newton(system, box, scale, start)
         if zero is not None:
             out.append(zero)
             return
-        # Newton failed from this leaf's start: shrink and retry
+        # a root side without positions, or Newton failed: shrink and retry
     axis = depth % 2
     lo, hi = _extent(box, axis)
     for frac in _SPLIT_FRACTIONS:
@@ -413,7 +414,7 @@ def _subdivide(system, box, sides, count, scale, depth, out):
 
 def _moment(system, box, sides):
     """The one zero of a count-1 box from its sampled sides, or None if a side
-    has no positions.
+    has no positions (a root side), in which case the box is bisected.
 
     z = c - (1/2 pi i) oint log f dk round the loop from its first corner c
     (Delves & Lyness, Math. Comp. 21 (1967) 543), by the trapezoid rule over
@@ -433,13 +434,11 @@ def _moment(system, box, sides):
 
 
 def _newton(system, box, scale, start):
-    """Newton via the logarithmic derivative from ``start`` (:func:`_moment`),
-    or from the leaf centre if that is None or outside the box: the accepted
-    zero with its residual |secular(k)|, or None to signal 'shrink the box'."""
+    """Newton via the logarithmic derivative from ``start``, the leaf's contour
+    moment (:func:`_moment`), each step within the leaf grown by its larger
+    side: the accepted zero, in the leaf, with its residual |secular(k)|, or
+    None to signal 'shrink the box'."""
     k = start
-    if k is None or not box.contains(k):
-        k = complex(0.5 * (box.re_min + box.re_max),
-                    min(0.0, 0.5 * (box.im_min + box.im_max)))  # no zero lies above
     margin = max(box.re_max - box.re_min, box.im_max - box.im_min)
     prev, grew = np.inf, 0
     for _ in range(80):

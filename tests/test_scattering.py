@@ -12,7 +12,7 @@ from graphres import (
     Edge,
     Lead,
     MetricGraph,
-    balance_report,
+    balanced_vertices,
     build_bond_system,
     det_smatrix_modulus,
     effective_size,
@@ -427,7 +427,7 @@ def _with_balanced_pendant(graph):
 
 
 def _balanced(graph):
-    return bool(balance_report(graph).balanced_vertices)
+    return bool(balanced_vertices(graph))
 
 
 LOG_DERIVATIVE_GRAPHS = {
