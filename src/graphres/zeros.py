@@ -5,8 +5,9 @@ rectangle equals the winding number of its boundary image around 0.  Boxes
 are subdivided until each contains a single zero, which Newton iteration on
 the logarithmic derivative then pins to ~1e-12.  Newton starts at the zero's
 contour moment, the trapezoid rule over the samples the winding took.  A leaf
-with a side that has no positions (a root side keeps its values only) is
-bisected instead: after at most two splits every side carries positions.
+whose run fails, or with a side that has no positions (a root side keeps its
+values only), is bisected again: after at most two splits every side carries
+positions.
 The counting function N(R) locates no zeros: it cuts one strip at every R and
 sums the windings of the sub-strips.
 
@@ -18,9 +19,9 @@ line's samples, and only its end at the cut is evaluated; a piece of a root
 side is sampled afresh, so the first split checks the root winding on an
 independent sampling.  A line through a zero moves forward, right or up, so a
 box holds the zeros of (re_min, re_max] x (im_min, im_max].  A root top on or
-above the real axis goes up to Im k = 1, and every side winds
-f (conj k/|k|)^beta, beta the order of the zero at k = 0.  A segment is a
-``(z0, z1)`` pair.
+above the real axis goes up to Im k = min(1, 300/L), L the total edge length
+(|f| ~ e^{2 L Im k} there), and every side winds f (conj k/|k|)^beta, beta
+the order of the zero at k = 0.  A segment is a ``(z0, z1)`` pair.
 """
 
 from __future__ import annotations
@@ -340,7 +341,7 @@ def _loop_winding(sides) -> tuple[int, float]:
 
 def count_zeros(system: BondSystem, box: SearchBox) -> int:
     """Number of secular zeros in (re_min, re_max] x (im_min, im_max], by the
-    argument principle; a top on or above the real axis goes up to Im k = 1."""
+    argument principle; a top at or above the axis goes up to Im k = min(1, 300/L)."""
     count, *_ = _winding_nudged(system, box)
     return count
 
@@ -349,9 +350,11 @@ def _winding_nudged(system: BondSystem, box: SearchBox):
     """(count, max |secular| on the boundary, the box actually used, its
     sampled sides), a side through a zero moved as ``_strips`` moves it."""
     # the Kirchhoff Laplacian is self-adjoint and nonnegative, so det M has
-    # no zeros above the real axis: a top there clears the real eigenvalues
+    # no zeros above the real axis: a top there clears the real eigenvalues.
+    # |f| ~ e^{2 L Im k} on it, kept below e^600 past L = 300 m
     if box.im_max >= 0.0:
-        box = _span(box, 1, box.im_min, max(box.im_max, 1.0))
+        length = float(np.sum(system.lengths[: system.n_edges]))
+        box = _span(box, 1, box.im_min, max(box.im_max, 300.0 / max(length, 300.0)))
     [(box, sides)] = _strips(system, box, None, 0, [])
     return (*_loop_winding(sides), box, sides)
 
@@ -361,8 +364,8 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
 
     The box is bisected (axes alternating) until each leaf holds one zero by
     winding count and its sides carry positions; Newton from the leaf's
-    contour moment (:func:`_moment`) does the rest.  The final list is
-    checked against the root winding total.
+    contour moment (:func:`_moment`) does the rest, or its leaf is bisected
+    again.  The final list is checked against the root winding total.
     """
     total, scale, box, sides = _winding_nudged(system, box)
     found: list[Resonance] = []
@@ -435,12 +438,12 @@ def _moment(system, box, sides):
 
 def _newton(system, box, scale, start):
     """Newton via the logarithmic derivative from ``start``, the leaf's contour
-    moment (:func:`_moment`), each step within the leaf grown by its larger
-    side: the accepted zero, in the leaf, with its residual |secular(k)|, or
-    None to signal 'shrink the box'."""
+    moment (:func:`_moment`): the accepted zero, in the leaf, with its
+    residual |secular(k)|, or None to signal 'shrink the box'.  Each step
+    must stay within the leaf grown by its larger side, which a non-finite k
+    fails too."""
     k = start
     margin = max(box.re_max - box.re_min, box.im_max - box.im_min)
-    prev, grew = np.inf, 0
     for _ in range(80):
         try:
             ld = log_derivative(system, k)
@@ -450,14 +453,9 @@ def _newton(system, box, scale, start):
             return None
         step = -1.0 / ld
         k += step
-        size = abs(step)
-        if not np.isfinite(size) or not box.contains(k, margin):
+        if not box.contains(k, margin):
             return None
-        grew = grew + 1 if size > prev else 0
-        if grew >= 3:
-            return None  # diverging; caller re-bisects the leaf
-        prev = size
-        if size < _NEWTON_TOL:
+        if abs(step) < _NEWTON_TOL:
             break
     else:
         return None
@@ -471,7 +469,7 @@ def _newton(system, box, scale, start):
 
 
 def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):
-    """Cumulative zero counts N(R) over strips [0, R] x [-depth, 1].
+    """Cumulative zero counts N(R) over strips [0, R] x [-depth, min(1, 300/L)].
 
     ``R_values`` must be positive and ascending.  The spectral point k = 0 is
     excluded (it is not a resonance).  No zero is located: the root strip up

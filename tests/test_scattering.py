@@ -568,6 +568,30 @@ def test_vertex_reduction_down_to_the_depth_bound(graph, re, fraction):
     _assert_reduction(system, np.array([complex(re, im)]))
 
 
+@st.composite
+def open_graphs(draw):
+    """``small_graphs`` with 1-4 leads, which may sit on a vertex beyond the
+    edges' (a vertex with leads only)."""
+    graph = draw(small_graphs())
+    n = max(graph.vertices)
+    anchors = draw(st.lists(st.integers(1, n + 1), min_size=1, max_size=4))
+    return MetricGraph(graph.edges, tuple(Lead(i + 1, v) for i, v in enumerate(anchors)))
+
+
+@given(open_graphs(), st.floats(1.0, 60.0), st.floats(-6.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_det_s_is_the_secular_ratio_on_random_graphs(graph, re, im):
+    # det S(k) = (-1)^{E+M+V} e^{-2ikL} F(-k)/F(k), V counting every vertex:
+    # smatrix_many against secular_many, each in whichever form serves k
+    system = build_bond_system(graph)
+    k = np.array([complex(re, im)])
+    sign = (-1) ** (len(graph.edges) + len(graph.leads) + len(graph.vertices))
+    want = (sign * np.exp(-2j * k * sum(e.length for e in graph.edges))
+            * secular_many(system, -k) / secular_many(system, k))[0]
+    got = np.linalg.det(smatrix_many(system, k))[0]
+    assert abs(got - want) <= 1e-10 * max(abs(got), 1.0)
+
+
 def _mp_secular(system, k):
     """``F(k) = det(e^{-ikL} - Sigma)`` in 50-digit arithmetic.
 

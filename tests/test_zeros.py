@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -146,6 +147,20 @@ class TestCounting:
         winding, _ = _dense_winding(system, zeros._span(box, 1, box.im_min, 1.0))
         assert len(zs) == count_zeros(system, box) == 4
         assert winding == pytest.approx(4, abs=1e-6)
+
+    def test_a_graph_of_400_m_lowers_its_root_top(self):
+        # |f| ~ e^{2 L Im k} on the top: at Im k = 1 it would overflow for
+        # L = 400.1 m, so the top sits at 300/L; 60 m keeps it at 1
+        system = _data_system("tri400")
+        box = SearchBox.from_band(1.0e9, 1.01e9)
+        *_, used, _ = zeros._winding_nudged(system, box)
+        assert used.im_max == pytest.approx(300.0 / 400.1, rel=1e-12)
+        zs = find_zeros(system, box)
+        winding, _ = _dense_winding(system, used)
+        assert len(zs) == 26
+        assert winding == pytest.approx(26, abs=1e-6)
+        *_, used, _ = zeros._winding_nudged(_data_system("tri60"), box)
+        assert used.im_max == 1.0
 
     def test_bottom_edge_through_a_zero_moves_up(self, systems):
         # the bottom edge runs exactly through this reference zero of W1; the
@@ -523,6 +538,48 @@ class TestFailurePaths:
         monkeypatch.setattr(zeros, "log_derivative", lambda system, k: 0j)
         box = SearchBox(16.0, 17.5, -1.5, 0.0)
         assert zeros._newton(systems["W1"], box, 1.0, 16.8 - 0.9j) is None
+
+    @pytest.mark.parametrize("ld", [complex(np.nan, np.nan), -1.0 / 5.0 + 0j],
+                             ids=["nan", "step-of-5"])
+    def test_a_step_out_of_the_margin_shrinks_the_box_at_once(
+            self, systems, monkeypatch, ld):
+        # a step of 5 from 16.8 passes 17.5 + 1.5, the leaf grown by its
+        # larger side, and a NaN step fails the same test, without a warning
+        calls = []
+
+        def fixed(system, k):
+            calls.append(k)
+            return ld
+
+        monkeypatch.setattr(zeros, "log_derivative", fixed)
+        box = SearchBox(16.0, 17.5, -1.5, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zeros._newton(systems["W1"], box, 1.0, 16.8 - 0.9j) is None
+        assert len(calls) == 1
+
+    def test_steps_that_grow_inside_the_margin_go_on_to_the_zero(
+            self, systems, band_zeros, monkeypatch):
+        # four forced steps, each twice the last, stay inside a 0.2-wide leaf
+        # round a W1 zero; Newton's own steps then reach that zero
+        zs = band_zeros["W1"]
+        z = min(zs, key=lambda r: abs(r.k - (16.8 - 0.9j))).k
+        forced = [0.001, -0.002, 0.004, -0.008]
+        points = []
+        log_derivative = zeros.log_derivative
+
+        def spy(system, k):
+            points.append(k)
+            if len(points) <= len(forced):
+                return -1.0 / forced[len(points) - 1] + 0j
+            return log_derivative(system, k)
+
+        monkeypatch.setattr(zeros, "log_derivative", spy)
+        box = SearchBox(z.real - 0.1, z.real + 0.1, z.imag - 0.1, z.imag + 0.1)
+        r = zeros._newton(systems["W1"], box, zs.boundary_scale, z)
+        assert r is not None and r.k == pytest.approx(z, abs=1e-12)
+        assert np.real(points[1:5]) - z.real == pytest.approx(
+            np.cumsum(forced), abs=1e-12)
 
     def test_subdivision_deeper_than_the_cap_is_a_solver_error(self, neumann, monkeypatch):
         # three zeros need at least two splits
