@@ -92,7 +92,9 @@ def _band_hz(args) -> tuple[float, float]:
     return args.fmin_ghz * 1e9, args.fmax_ghz * 1e9
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(rows: list[str], out: str | None) -> None:
+    rows.append("")  # one join, ending in a newline
+    text = "\n".join(rows)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -120,7 +122,7 @@ def _cmd_resonances(args, graph: MetricGraph) -> int:
             f"{r.k.real!r},{r.k.imag!r},{r.nu / 1e9!r},{r.width / 1e6!r},"
             f"{r.residual:.3e}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -143,7 +145,7 @@ def _cmd_classify(args, graph: MetricGraph) -> int:
                                      for v in balanced_vertices(graph)
                                      for e in graph.edges if v in (e.a, e.b))
         lines.append(f"# balanced_vertex={vertex} shortest_edge={edge_id} ell_s={ell_s:g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -163,9 +165,8 @@ def _cmd_sweep(args, graph: MetricGraph) -> int:
     )
     dip_lines = [DIP_HEADER]
     dip_lines.extend(f"{d.nu!r},{d.depth!r}" for d in trace.dips)
-    _emit("\n".join(trace_lines) + "\n", args.out)
-    _emit("\n".join(dip_lines) + "\n",
-          args.out and str(Path(args.out).with_suffix(".dips.csv")))
+    _emit(trace_lines, args.out)
+    _emit(dip_lines, args.out and str(Path(args.out).with_suffix(".dips.csv")))
     resonances = find_zeros(system, box).resonances if trace.dips else ()
     if resonances:
         nus = np.array([r.nu for r in resonances])
@@ -189,7 +190,7 @@ def _cmd_count(args, graph: MetricGraph) -> int:
     table = counting_function(system, grid, depth=args.depth)
     lines = ["r_per_m,n_zeros"]
     lines.extend(f"{r!r},{n}" for r, n in table)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(lines, args.out)
     return 0
 
 

@@ -80,11 +80,11 @@ _MAX_EDGE_DEPTH = 1.5
 # the bond matrix costs less than the vertex form's extra array steps (the
 # two cross between 28 and 32 bonds, one point per call)
 _MIN_NEWTON_BONDS = 32
-# one batch of points, on either form, holds at most this many bytes of the
-# larger matrix, bond or vertex; LAPACK works per matrix, so the batch size
-# never changes a value.  Small, so that peak memory hardly depends on how
-# many points a graph sends to the bond matrix (an 80-bond batch: 81 points)
-_BATCH_BYTES = 8 * 2 ** 20
+# one batch of points, on either form, allocates about this many bytes
+# (``_batch_size``); LAPACK works per matrix, so no value depends on it.
+# Smaller batches slow the fixtures' calls, larger ones leave glibc more
+# freed heap between calls (a 5-vertex batch: 618 points, 80 bonds: 10)
+_BATCH_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,13 @@ def _vertex_terms(ends: np.ndarray, degree: np.ndarray, excess: np.ndarray):
     return h0, column, first, flat[first], 2.0 / degree[flat[first] // V]
 
 
-def _batch_size(system: BondSystem) -> int:
-    """Points per batch of the larger matrix, bond or vertex, within ``_BATCH_BYTES``."""
-    n = max(system.n_bonds, system.n_vertices)
-    return max(1, _BATCH_BYTES // (16 * n * n))
+def _batch_size(system: BondSystem, form: str) -> int:
+    """Points per ``form`` ("vertex" or "bond") batch within ``_BATCH_BYTES``: a
+    vertex point takes H, its LU copy and 8 numbers per edge of temporaries
+    (twice that with H', which takes one point), a bond point A and its diagonal."""
+    V, E, n = system.n_vertices, system.vertex_lengths.size, system.n_bonds
+    entries = 2 * V * V + 8 * E if form == "vertex" else n * n + n
+    return max(1, _BATCH_BYTES // (16 * max(entries, 1)))  # leads only: no bonds
 
 
 def _bond_matrices(system: BondSystem, ks: np.ndarray):
@@ -278,31 +281,35 @@ def _evaluate(system: BondSystem, ks, shape, vertex, bond,
               derivative: bool = False) -> np.ndarray:
     """``vertex(w, s, H)`` at each point, or ``bond(e^{-ikL}, A)`` where it must.
 
-    The one loop over points: ``_batch_size(system)`` points at a time.  A
-    point with ``-Im k > system.vertex_depth`` is left for the bond matrix
-    before its phases are taken, and one with some ``|s_e| < _MIN_EDGE_GAP
-    |w_e|^2`` on a vertex-form edge before any division.  A batch's vertex
-    work is done and freed before its bond matrices are built, so the two
-    never coexist.
+    The one walk over points.  A point with ``-Im k > system.vertex_depth``
+    is left for the bond matrix before its phases are taken, and one with
+    some ``|s_e| < _MIN_EDGE_GAP |w_e|^2`` on a vertex-form edge before any
+    division.  The others take the vertex form, then the points left take
+    the bond matrix, each in batches of ``_batch_size(system, form)``
+    points, so the two forms never coexist.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     ell = system.vertex_lengths
     out = np.empty((ks.size, *shape), dtype=complex)
-    step = _batch_size(system)
-    for lo in range(0, ks.size, step):
-        batch, part = ks[lo:lo + step], out[lo:lo + step]
-        served = -batch.imag <= system.vertex_depth
-        w = np.exp(-1j * batch[served, None] * ell)
+    deep = -ks.imag > system.vertex_depth
+    served, left = np.flatnonzero(~deep), [np.flatnonzero(deep)]
+    step = _batch_size(system, "vertex")
+    for lo in range(0, served.size, step):
+        at = served[lo:lo + step]
+        w = np.exp(-1j * ks[at, None] * ell)
         s = w * w - 1.0
         near = (np.abs(s) < _MIN_EDGE_GAP * np.abs(w) ** 2).any(axis=1)
         if near.any():
-            served[served] = ~near
-            w, s = w[~near], s[~near]
-        if served.any():
-            part[served] = vertex(w, s, _vertex_matrices(system, w, s, derivative))
+            left.append(at[near])
+            at, w, s = at[~near], w[~near], s[~near]
+        if at.size:
+            out[at] = vertex(w, s, _vertex_matrices(system, w, s, derivative))
         del w, s
-        if not served.all():
-            part[~served] = bond(*_bond_matrices(system, batch[~served]))
+    left = np.concatenate(left)
+    step = _batch_size(system, "bond")
+    for lo in range(0, left.size, step):
+        at = left[lo:lo + step]
+        out[at] = bond(*_bond_matrices(system, ks[at]))
     return out
 
 

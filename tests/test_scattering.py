@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,6 +21,7 @@ from graphres import (
     external_smatrix,
     fixture,
     interval,
+    load_graph,
     secular,
     secular_many,
     smatrix_many,
@@ -29,6 +32,8 @@ import graphres.scattering as scattering
 from graphres.scattering import log_derivative
 
 from conftest import BAND_HZ
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def band_ks(n=200):
@@ -592,6 +597,30 @@ def test_det_s_is_the_secular_ratio_on_random_graphs(graph, re, im):
     assert abs(got - want) <= 1e-10 * max(abs(got), 1.0)
 
 
+@given(open_graphs(), st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(-9.0, 0.0)),
+                              min_size=1, max_size=40),
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example(  # vertex 3 is balanced: below Im k = -3.75 its points take the bond matrix
+    MetricGraph((Edge(1, 1, 2, 0.3), Edge(2, 1, 2, 0.7), Edge(3, 2, 3, 0.4)),
+                (Lead(1, 3), Lead(2, 1))),
+    [(7.0, -9.0), (7.5, -2.0), (40.0, -5.0)], 2, 2, 0,
+)
+@settings(max_examples=40, deadline=None)
+def test_batches_equal_single_points_on_random_graphs(graph, points, vertex_batch,
+                                                      bond_batch, seed):
+    system = build_bond_system(graph)
+    ks = np.concatenate([[complex(re, im) for re, im in points],
+                         _dirichlet_band(system, system.vertex_lengths)[::11]])
+    np.random.default_rng(seed).shuffle(ks)
+    sizes = {"vertex": vertex_batch, "bond": bond_batch}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scattering, "_batch_size", lambda system, form: sizes[form])
+        for evaluate in (secular_many, smatrix_many):
+            batched = evaluate(system, ks)
+            single = np.array([evaluate(system, [k])[0] for k in ks])
+            assert np.array_equal(batched, single, equal_nan=True)
+
+
 def _mp_secular(system, k):
     """``F(k) = det(e^{-ikL} - Sigma)`` in 50-digit arithmetic.
 
@@ -661,23 +690,30 @@ def test_depth_bound_reaches_the_closure_through_an_even_excess(bond_points):
     assert not bond_points
 
 
-class TestBatching:
-    def test_batches_equal_single_points_bitwise(self, monkeypatch):
-        import graphres.scattering
+def _mixed_points(system):
+    """Points on both forms, shuffled: down to Im k = -9, past nW2's depth
+    limit, on the real axis, and next to Dirichlet points."""
+    rng = np.random.default_rng(3)
+    ks = np.concatenate([
+        rng.uniform(1.0, 80.0, 60) - 1j * rng.uniform(0.0, 9.0, 60),
+        np.linspace(1.0, 80.0, 60),
+        _dirichlet_band(system)[::7],
+    ])
+    rng.shuffle(ks)
+    return ks
 
+
+class TestBatching:
+    # nW2 has 5 vertices, 7 vertex-form edges and 14 bonds: a budget of 7
+    # vertex points holds 3 bond points
+    SMALL_BUDGET = 7 * 16 * (2 * 5 ** 2 + 8 * 7)
+
+    def test_batches_equal_single_points_bitwise(self, monkeypatch):
         system = build_bond_system(fixture("nW2"))
-        rng = np.random.default_rng(3)
-        ks = np.concatenate([
-            # down to Im k = -9, past the vertex form's depth limit
-            rng.uniform(1.0, 80.0, 60) - 1j * rng.uniform(0.0, 9.0, 60),
-            np.linspace(1.0, 80.0, 60),
-            _dirichlet_band(system)[::7],
-        ])
-        rng.shuffle(ks)
-        # 7 points per batch, on either form
-        monkeypatch.setattr(graphres.scattering, "_BATCH_BYTES",
-                            7 * 16 * system.n_bonds ** 2)
-        assert graphres.scattering._batch_size(system) == 7
+        ks = _mixed_points(system)
+        monkeypatch.setattr(scattering, "_BATCH_BYTES", self.SMALL_BUDGET)
+        assert scattering._batch_size(system, "vertex") == 7
+        assert scattering._batch_size(system, "bond") == 3
         batched = secular_many(system, ks)
         single = np.array([secular_many(system, [k])[0] for k in ks])
         assert np.array_equal(batched, single)
@@ -685,16 +721,10 @@ class TestBatching:
         single = np.array([smatrix_many(system, [k])[0] for k in ks])
         assert np.array_equal(batched, single)
 
-    def test_one_batch_size_bounds_both_forms(self, monkeypatch):
+    def test_each_form_keeps_to_its_own_batch_size(self, monkeypatch):
         system = build_bond_system(fixture("nW2"))
-        rng = np.random.default_rng(3)
-        ks = np.concatenate([
-            rng.uniform(1.0, 80.0, 60) - 1j * rng.uniform(0.0, 9.0, 60),
-            np.linspace(1.0, 80.0, 60),
-            _dirichlet_band(system)[::7],
-        ])
-        monkeypatch.setattr(scattering, "_BATCH_BYTES", 7 * 16 * system.n_bonds ** 2)
-        assert scattering._batch_size(system) == 7
+        ks = _mixed_points(system)
+        monkeypatch.setattr(scattering, "_BATCH_BYTES", self.SMALL_BUDGET)
         vertex, bond = scattering._vertex_matrices, scattering._bond_matrices
         points = {"vertex": [], "bond": []}
 
@@ -712,9 +742,29 @@ class TestBatching:
             points["vertex"].clear()
             points["bond"].clear()
             evaluate(system, ks)
-            assert max(points["vertex"] + points["bond"]) <= 7
-            assert sum(points["vertex"]) > 0 and sum(points["bond"]) > 0
+            assert 0 < max(points["vertex"]) <= 7
+            assert 0 < max(points["bond"]) <= 3
             assert sum(points["vertex"]) + sum(points["bond"]) == ks.size
+
+    @pytest.mark.parametrize("name, deep", [("W1", 0), ("g1-e20", 5000)])
+    def test_peak_memory_is_the_output_and_one_batch(self, name, deep):
+        # numpy reports its buffers to tracemalloc.  The allowance is twice
+        # the 1 MiB batch budget; batches sized by the larger matrix alone
+        # peak at 3.2 MB on W1, and at 9.2 MB on g1-e20, whose deep points
+        # take the 40 x 40 bond matrix
+        graph = fixture(name) if name == "W1" else load_graph(DATA / f"{name}.graph")
+        system = build_bond_system(graph)
+        ks = np.linspace(6.0, 46.0, 20000) - 0.5j
+        ks.imag[:deep] = -7.5
+        assert np.count_nonzero(-ks.imag > system.vertex_depth) == deep
+        for evaluate in (secular_many, smatrix_many):
+            tracemalloc.start()
+            try:
+                out = evaluate(system, ks)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 2 * 2 ** 20
 
     def test_no_points_give_an_empty_result(self):
         system = build_bond_system(fixture("W1"))
