@@ -2,12 +2,12 @@
 
 The secular determinant is entire in k, so the number of zeros inside a
 rectangle equals the winding number of its boundary image around 0.  Boxes
-are subdivided until each contains a single zero, which Newton iteration on
-the logarithmic derivative then pins to ~1e-12.  Newton starts at the zero's
-contour moment, the trapezoid rule over the samples the winding took.  A leaf
-whose run fails, or with a side that has no positions (a root side keeps its
-values only), is bisected again: after at most two splits every side carries
-positions.
+are subdivided until each holds at most ``_MAX_LEAF_COUNT`` zeros, which
+Newton iteration on the logarithmic derivative then pins to ~1e-12.  Newton
+starts at the roots of the polynomial whose zeros' power sums the trapezoid
+rule gives over the samples the winding took.  A leaf whose runs fail or meet,
+or with a side that has no positions (a root side keeps its values only), is
+bisected again: after at most two splits every side carries positions.
 The counting function N(R) locates no zeros: it cuts one strip at every R and
 sums the windings of the sub-strips.
 
@@ -45,6 +45,12 @@ _NEWTON_TOL = 1e-12
 _RESIDUAL_REL = 1e-10        # vs. the max |secular| on the root boundary
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.56, 0.44, 0.61, 0.39)
 _MAX_DEPTH = 200
+# a leaf of up to this many zeros is polished from its power sums.  Summed
+# find_zeros s (best of 5-7, 2 cores) at caps 1/2/3/4/6/none: 32 seed-1
+# fixtures-band boxes 0.226/0.176/0.157/0.151/0.141/0.154, 9 generated-large
+# boxes (seeds 1-3) 0.401/0.325/0.322/0.313/0.346/0.424; failed runs on big leaves
+# cost log_derivative calls (200 random graphs: 10 830 at 1, 14 371 at 4, 27 343 none)
+_MAX_LEAF_COUNT = 4
 
 
 class SolverError(RuntimeError):
@@ -362,16 +368,20 @@ def _winding_nudged(system: BondSystem, box: SearchBox):
 def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
     """All secular zeros in (re_min, re_max] x (im_min, im_max], polished to ~1e-12.
 
-    The box is bisected (axes alternating) until each leaf holds one zero by
-    winding count and its sides carry positions; Newton from the leaf's
-    contour moment (:func:`_moment`) does the rest, or its leaf is bisected
-    again.  The final list is checked against the root winding total.
+    The box is bisected (axes alternating) until each leaf holds at most
+    ``_MAX_LEAF_COUNT`` zeros by winding count and its sides carry positions;
+    Newton from each of the leaf's starts (:func:`_moment`) does the rest, or
+    its leaf is bisected again.  The zeros go by Re k, and by Im k where Re k
+    agrees within the dedup radius; the list is checked against the root
+    winding total.
     """
     total, scale, box, sides = _winding_nudged(system, box)
     found: list[Resonance] = []
     _subdivide(system, box, sides, total, scale, 0, found)
+    found.sort(key=lambda r: r.k.real)
+    chain = np.cumsum(np.diff([r.k.real for r in found], prepend=-np.inf) >= _DEDUP_RADIUS)
     kept: list[Resonance] = []
-    for r in sorted(found, key=lambda r: (r.k.real, r.k.imag)):
+    for _, r in sorted(zip(chain, found), key=lambda pair: (pair[0], pair[1].k.imag)):
         if not kept or abs(r.k - kept[-1].k) >= _DEDUP_RADIUS:
             kept.append(r)
     if len(kept) != total:
@@ -382,6 +392,9 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
 
 
 def _subdivide(system, box, sides, count, scale, depth, out):
+    """Append the ``count`` zeros of ``box`` to ``out``: a leaf of at most
+    ``_MAX_LEAF_COUNT`` keeps the zeros of its Newton runs if each returns one
+    and no two meet, and any other box is bisected across axis depth % 2."""
     if count == 0:
         return
     if depth > _MAX_DEPTH:
@@ -389,12 +402,17 @@ def _subdivide(system, box, sides, count, scale, depth, out):
             f"subdivision depth exceeded near {box}; zero of multiplicity "
             f"{count} or a solver defect"
         )
-    if count == 1 and (start := _moment(system, box, sides)) is not None:
-        zero = _newton(system, box, scale, start)
-        if zero is not None:
-            out.append(zero)
+    if count <= _MAX_LEAF_COUNT and (starts := _moment(system, box, sides, count)):
+        leaf = []
+        for start in starts:
+            zero = _newton(system, box, scale, start)
+            if zero is None or any(abs(zero.k - z.k) < _DEDUP_RADIUS for z in leaf):
+                break
+            leaf.append(zero)
+        else:
+            out.extend(leaf)
             return
-        # a root side without positions, or Newton failed: shrink and retry
+        # a root side without positions, a failed run or two that met: shrink
     axis = depth % 2
     lo, hi = _extent(box, axis)
     for frac in _SPLIT_FRACTIONS:
@@ -415,15 +433,16 @@ def _subdivide(system, box, sides, count, scale, depth, out):
     raise SolverError(f"no clean split line found for {box}")
 
 
-def _moment(system, box, sides):
-    """The one zero of a count-1 box from its sampled sides, or None if a side
-    has no positions (a root side), in which case the box is bisected.
+def _moment(system, box, sides, count):
+    """Newton starts for the ``count`` zeros of a leaf from its sampled sides, or
+    None to bisect it: a side without positions (a root side), or a start not finite.
 
-    z = c - (1/2 pi i) oint log f dk round the loop from its first corner c
-    (Delves & Lyness, Math. Comp. 21 (1967) 543), by the trapezoid rule over
-    the samples.  log f = log|f| + i (phase + beta arg k), the phase summed
-    from the steps ``_loop_winding`` counted: the sides wind
-    f (conj k/|k|)^beta, and the moment needs f itself.
+    In z = (k - centre) / h, h the leaf's larger side, the zeros' power sums
+    are s_p = count z0^p - (p / 2 pi i) oint z^(p-1) log f dz round the loop
+    from its first corner z0 (Delves & Lyness, Math. Comp. 21 (1967) 543), by
+    the trapezoid rule; Newton's identities turn them into the monic polynomial
+    whose roots are the starts.  log f = log|f| + i (phase + beta arg k), the
+    phase summed from ``_loop_winding``'s steps: the sides wind f (conj k/|k|)^beta.
     """
     if any(t is None for t, _ in sides):
         return None
@@ -432,13 +451,34 @@ def _moment(system, box, sides):
     f = np.concatenate([f for _, f in sides])
     phase = np.concatenate(([0.0], np.cumsum(_phase_steps(f))))
     log_f = np.log(np.abs(f)) + 1j * (phase + system.order_at_zero * np.angle(ks))
-    integral = np.sum(0.5 * (log_f[1:] + log_f[:-1]) * np.diff(ks))
-    return complex(ks[0] - integral / (2j * np.pi))
+    centre = complex(box.re_min + box.re_max, box.im_min + box.im_max) / 2.0
+    h = max(box.re_max - box.re_min, box.im_max - box.im_min)
+    z, p = (ks - centre) / h, np.arange(1, count + 1)
+    g = z ** (p[:, None] - 1) * log_f  # z^(p-1) log f, by row
+    s = count * z[0] ** p - p * ((g[:, 1:] + g[:, :-1]) @ np.diff(z)) / (4j * np.pi)
+    c = [1.0]  # the coefficients, by Newton's identities
+    for n in p:
+        c.append(-sum(c[n - i] * s[i - 1] for i in range(1, n + 1)) / n)
+    roots = _roots(c)
+    return [complex(centre + h * r) for r in roots] if np.isfinite(roots).all() else None
+
+
+def _roots(coefficients):
+    """Roots of the monic polynomial with ``coefficients`` (highest first), by
+    Durand-Kerner iteration; iterates that meet give non-finite roots."""
+    z = (0.4 + 0.9j) ** np.arange(len(coefficients) - 1)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            step = np.polyval(coefficients, z) / (z[:, None] - z + np.eye(z.size)).prod(axis=1)
+            z = z - step
+            if not np.max(np.abs(step)) > 1e-12:
+                break
+    return z
 
 
 def _newton(system, box, scale, start):
-    """Newton via the logarithmic derivative from ``start``, the leaf's contour
-    moment (:func:`_moment`): the accepted zero, in the leaf, with its
+    """Newton via the logarithmic derivative from ``start``, one of the leaf's
+    starts (:func:`_moment`): the accepted zero, in the leaf, with its
     residual |secular(k)|, or None to signal 'shrink the box'.  Each step
     must stay within the leaf grown by its larger side, which a non-finite k
     fails too."""
