@@ -223,12 +223,14 @@ def _vertex_terms(ends: np.ndarray, degree: np.ndarray, excess: np.ndarray):
     return h0, column, first, flat[first], 2.0 / degree[flat[first] // V]
 
 
-def _batch_size(system: BondSystem, form: str) -> int:
+def _batch_size(system: BondSystem, form: str, derivative: bool = False) -> int:
     """Points per ``form`` ("vertex" or "bond") batch within ``_BATCH_BYTES``: a
-    vertex point takes H, its LU copy and 8 numbers per edge of temporaries
-    (twice that with H', which takes one point), a bond point A and its diagonal."""
+    vertex point takes H, its LU copy and 8 numbers per edge of temporaries, a
+    bond point A and its diagonal.  A ``derivative`` point takes twice that:
+    H and H', or A and its inverse."""
     V, E, n = system.n_vertices, system.vertex_lengths.size, system.n_bonds
     entries = 2 * V * V + 8 * E if form == "vertex" else n * n + n
+    entries *= 1 + derivative
     return max(1, _BATCH_BYTES // (16 * max(entries, 1)))  # leads only: no bonds
 
 
@@ -281,19 +283,20 @@ def _evaluate(system: BondSystem, ks, shape, vertex, bond,
               derivative: bool = False) -> np.ndarray:
     """``vertex(w, s, H)`` at each point, or ``bond(e^{-ikL}, A)`` where it must.
 
-    The one walk over points.  A point with ``-Im k > system.vertex_depth``
-    is left for the bond matrix before its phases are taken, and one with
-    some ``|s_e| < _MIN_EDGE_GAP |w_e|^2`` on a vertex-form edge before any
-    division.  The others take the vertex form, then the points left take
-    the bond matrix, each in batches of ``_batch_size(system, form)``
-    points, so the two forms never coexist.
+    The one walk over points.  Every point is left for the bond matrix when
+    ``vertex`` is None, and otherwise one with ``-Im k > system.vertex_depth``
+    before its phases are taken, and one with some ``|s_e| < _MIN_EDGE_GAP
+    |w_e|^2`` on a vertex-form edge before any division.  The others take
+    the vertex form, then the points left take the bond matrix, each in
+    batches of ``_batch_size(system, form, derivative)`` points, so the two
+    forms never coexist.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     ell = system.vertex_lengths
     out = np.empty((ks.size, *shape), dtype=complex)
-    deep = -ks.imag > system.vertex_depth
+    deep = (-ks.imag > system.vertex_depth) | (vertex is None)
     served, left = np.flatnonzero(~deep), [np.flatnonzero(deep)]
-    step = _batch_size(system, "vertex")
+    step = _batch_size(system, "vertex", derivative)
     for lo in range(0, served.size, step):
         at = served[lo:lo + step]
         w = np.exp(-1j * ks[at, None] * ell)
@@ -306,7 +309,7 @@ def _evaluate(system: BondSystem, ks, shape, vertex, bond,
             out[at] = vertex(w, s, _vertex_matrices(system, w, s, derivative))
         del w, s
     left = np.concatenate(left)
-    step = _batch_size(system, "bond")
+    step = _batch_size(system, "bond", derivative)
     for lo in range(0, left.size, step):
         at = left[lo:lo + step]
         out[at] = bond(*_bond_matrices(system, ks[at]))
@@ -327,24 +330,28 @@ def secular(system: BondSystem, k: complex) -> complex:
     return complex(secular_many(system, [k])[0])
 
 
-def log_derivative(system: BondSystem, k: complex) -> complex:
-    """``(det M)'/det M = F'/F + 2iL``, finite and stable near zeros.
+def log_derivative(system: BondSystem, ks):
+    """``(det M)'/det M = F'/F + 2iL``, finite and stable near zeros, at one
+    point (a complex) or an array of them.
 
     Where the vertex form serves k, on a graph of at least
     ``_MIN_NEWTON_BONDS`` bonds, it is ``sum_e -2i l_e/s_e + tr(H^-1 H')``;
     elsewhere ``2iL + tr(A^-1 A')`` with the diagonal ``A' = -i L e^{-ikL}``.
+    A singular matrix at any point raises ``numpy.linalg.LinAlgError``.
     """
     def bond(w, mats):
-        dA = -1j * system.lengths * w[0]
-        return 1j * system.lengths.sum() + np.linalg.inv(mats[0]).diagonal() @ dA
+        dA = -1j * system.lengths * w
+        diagonal = np.linalg.inv(mats).diagonal(axis1=1, axis2=2)
+        return 1j * system.lengths.sum() + (diagonal[:, None, :] @ dA[:, :, None])[:, 0, 0]
 
     def vertex(w, s, H):
-        ds = -2j * system.vertex_lengths / s[0]
-        return ds.sum() + np.linalg.solve(H[0], H[1]).trace()
+        ds = -2j * system.vertex_lengths / s
+        m = w.shape[0]
+        return ds.sum(axis=1) + np.linalg.solve(H[:m], H[m:]).trace(axis1=1, axis2=2)
 
-    if system.n_bonds < _MIN_NEWTON_BONDS:
-        return complex(bond(*_bond_matrices(system, np.array([complex(k)]))))
-    return complex(_evaluate(system, [k], (), vertex, bond, derivative=True)[0])
+    small = system.n_bonds < _MIN_NEWTON_BONDS
+    out = _evaluate(system, ks, (), None if small else vertex, bond, derivative=True)
+    return complex(out[0]) if np.ndim(ks) == 0 else out
 
 
 def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ the order of the zero at k = 0.  A segment is a ``(z0, z1)`` pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ _MAX_DEPTH = 200
 # a leaf of up to this many zeros is polished from its power sums.  Summed
 # find_zeros s (best of 5-7, 2 cores) at caps 1/2/3/4/6/none: 32 seed-1
 # fixtures-band boxes 0.226/0.176/0.157/0.151/0.141/0.154, 9 generated-large
-# boxes (seeds 1-3) 0.401/0.325/0.322/0.313/0.346/0.424; failed runs on big leaves
-# cost log_derivative calls (200 random graphs: 10 830 at 1, 14 371 at 4, 27 343 none)
+# boxes (seeds 1-3) 0.401/0.325/0.322/0.313/0.346/0.424.  Over 200 random graphs
+# (3 960 zeros) log_derivative takes 14 486 points at 1, 18 250 at 4 and 58 605
+# uncapped, in 14 486, 6 695 and 13 478 calls; failed leaves take 0, 267 and
+# 36 449 of those points, so at 4 the rise is the power-sum starts' extra steps
 _MAX_LEAF_COUNT = 4
 
 
@@ -393,8 +396,8 @@ def find_zeros(system: BondSystem, box: SearchBox) -> ZeroSet:
 
 def _subdivide(system, box, sides, count, scale, depth, out):
     """Append the ``count`` zeros of ``box`` to ``out``: a leaf of at most
-    ``_MAX_LEAF_COUNT`` keeps the zeros of its Newton runs if each returns one
-    and no two meet, and any other box is bisected across axis depth % 2."""
+    ``_MAX_LEAF_COUNT`` keeps the zeros of its Newton runs if :func:`_polish`
+    accepts them all, and any other box is bisected across axis depth % 2."""
     if count == 0:
         return
     if depth > _MAX_DEPTH:
@@ -403,13 +406,8 @@ def _subdivide(system, box, sides, count, scale, depth, out):
             f"{count} or a solver defect"
         )
     if count <= _MAX_LEAF_COUNT and (starts := _moment(system, box, sides, count)):
-        leaf = []
-        for start in starts:
-            zero = _newton(system, box, scale, start)
-            if zero is None or any(abs(zero.k - z.k) < _DEDUP_RADIUS for z in leaf):
-                break
-            leaf.append(zero)
-        else:
+        leaf = _polish(system, box, scale, starts)
+        if leaf is not None:
             out.extend(leaf)
             return
         # a root side without positions, a failed run or two that met: shrink
@@ -465,47 +463,84 @@ def _moment(system, box, sides, count):
 
 def _roots(coefficients):
     """Roots of the monic polynomial with ``coefficients`` (highest first), by
-    Durand-Kerner iteration; iterates that meet give non-finite roots."""
-    z = (0.4 + 0.9j) ** np.arange(len(coefficients) - 1)
-    with np.errstate(all="ignore"):
+    Durand-Kerner iteration on Python complex scalars; iterates that meet give
+    non-finite roots."""
+    coefficients = [complex(c) for c in coefficients]
+    z = [(0.4 + 0.9j) ** i for i in range(len(coefficients) - 1)]
+    try:
         for _ in range(100):
-            step = np.polyval(coefficients, z) / (z[:, None] - z + np.eye(z.size)).prod(axis=1)
-            z = z - step
-            if not np.max(np.abs(step)) > 1e-12:
+            steps = []
+            for i, zi in enumerate(z):
+                value = 0j
+                for c in coefficients:
+                    value = value * zi + c
+                steps.append(value / math.prod(zi - zj for j, zj in enumerate(z) if j != i))
+            z = [zi - step for zi, step in zip(z, steps)]
+            if not max(map(abs, steps)) > 1e-12:
                 break
+    except (ZeroDivisionError, OverflowError):  # Python raises where numpy gives inf
+        return [complex(np.nan, np.nan)] * len(z)
     return z
 
 
-def _newton(system, box, scale, start):
-    """Newton via the logarithmic derivative from ``start``, one of the leaf's
-    starts (:func:`_moment`): the accepted zero, in the leaf, with its
-    residual |secular(k)|, or None to signal 'shrink the box'.  Each step
-    must stay within the leaf grown by its larger side, which a non-finite k
-    fails too."""
-    k = start
+def _polish(system, box, scale, starts):
+    """Newton via the logarithmic derivative from each of a leaf's ``starts``
+    (:func:`_moment`), the runs in lockstep: the accepted zeros, in the leaf,
+    with their residuals |secular(k)|, or None to signal 'shrink the box'.
+
+    Each step is one ``log_derivative`` call on the runs still moving.  A run
+    stops where the step falls below the tolerance, or where its point is
+    singular (numerically on the zero already); when a call of several points
+    raises, they are evaluated again one at a time, so only the singular run
+    stops.  One failing run fails the leaf: a zero log-derivative, a step
+    outside the leaf grown by its larger side (which a non-finite k fails
+    too), 80 steps without converging, a zero outside the leaf, two zeros
+    that meet, or a zero above the residual gate.
+    """
+    ks = list(starts)
     margin = max(box.re_max - box.re_min, box.im_max - box.im_min)
+    moving = list(range(len(ks)))
     for _ in range(80):
         try:
-            ld = log_derivative(system, k)
+            lds = log_derivative(system, np.array([ks[i] for i in moving]))
         except np.linalg.LinAlgError:
-            break  # singular: k is numerically on the zero already
-        if ld == 0.0:
-            return None
-        step = -1.0 / ld
-        k += step
-        if not box.contains(k, margin):
-            return None
-        if abs(step) < _NEWTON_TOL:
+            if len(moving) == 1:
+                break  # singular: k is numerically on the zero already
+            lds = [_log_derivative_or_none(system, ks[i]) for i in moving]
+        still = []
+        for i, ld in zip(moving, lds):
+            if ld is None:
+                continue  # singular, as above
+            if ld == 0.0:
+                return None
+            step = -1.0 / complex(ld)
+            ks[i] += step
+            if not box.contains(ks[i], margin):
+                return None
+            if not abs(step) < _NEWTON_TOL:
+                still.append(i)
+        moving = still
+        if not moving:
             break
     else:
         return None
-    # the zero must belong to this leaf, not a neighbor's basin
-    if not box.contains(k, _DEDUP_RADIUS):
+    # each zero must belong to this leaf, not a neighbor's basin
+    if not all(box.contains(k, _DEDUP_RADIUS) for k in ks):
         return None
-    residual = float(np.abs(secular_many(system, [k])[0]))
-    if residual > _RESIDUAL_REL * scale:
+    if any(abs(a - b) < _DEDUP_RADIUS for i, a in enumerate(ks) for b in ks[:i]):
         return None
-    return Resonance(k, residual)
+    residuals = np.abs(secular_many(system, ks))
+    if np.any(residuals > _RESIDUAL_REL * scale):
+        return None
+    return [Resonance(k, float(r)) for k, r in zip(ks, residuals)]
+
+
+def _log_derivative_or_none(system, k):
+    """``log_derivative`` at the one point k, or None where it is singular."""
+    try:
+        return log_derivative(system, k)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def counting_function(system: BondSystem, R_values, depth: float = STRIP_DEPTH):

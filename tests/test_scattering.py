@@ -599,23 +599,32 @@ def test_det_s_is_the_secular_ratio_on_random_graphs(graph, re, im):
 
 @given(open_graphs(), st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(-9.0, 0.0)),
                               min_size=1, max_size=40),
-       st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans())
 @example(  # vertex 3 is balanced: below Im k = -3.75 its points take the bond matrix
     MetricGraph((Edge(1, 1, 2, 0.3), Edge(2, 1, 2, 0.7), Edge(3, 2, 3, 0.4)),
                 (Lead(1, 3), Lead(2, 1))),
-    [(7.0, -9.0), (7.5, -2.0), (40.0, -5.0)], 2, 2, 0,
+    [(7.0, -9.0), (7.5, -2.0), (40.0, -5.0)], 2, 2, 0, True,
+)
+@example(  # 80 bonds: log_derivative takes the vertex form of 15 vertices unpatched
+    load_graph(DATA / "g1-e40.graph"), [(7.0, -9.0), (7.5, -2.0), (40.0, -0.5)], 3, 2, 0,
+    False,
 )
 @settings(max_examples=40, deadline=None)
 def test_batches_equal_single_points_on_random_graphs(graph, points, vertex_batch,
-                                                      bond_batch, seed):
+                                                      bond_batch, seed, vertex_newton):
+    # log_derivative takes the bond matrix below _MIN_NEWTON_BONDS bonds, so
+    # the vertex form's derivative needs the rule off on these small graphs
     system = build_bond_system(graph)
     ks = np.concatenate([[complex(re, im) for re, im in points],
                          _dirichlet_band(system, system.vertex_lengths)[::11]])
     np.random.default_rng(seed).shuffle(ks)
     sizes = {"vertex": vertex_batch, "bond": bond_batch}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scattering, "_batch_size", lambda system, form: sizes[form])
-        for evaluate in (secular_many, smatrix_many):
+        patch.setattr(scattering, "_batch_size",
+                      lambda system, form, derivative=False: sizes[form])
+        if vertex_newton:
+            patch.setattr(scattering, "_MIN_NEWTON_BONDS", 0)
+        for evaluate in (secular_many, smatrix_many, log_derivative):
             batched = evaluate(system, ks)
             single = np.array([evaluate(system, [k])[0] for k in ks])
             assert np.array_equal(batched, single, equal_nan=True)
@@ -751,13 +760,14 @@ class TestBatching:
         # numpy reports its buffers to tracemalloc.  The allowance is twice
         # the 1 MiB batch budget; batches sized by the larger matrix alone
         # peak at 3.2 MB on W1, and at 9.2 MB on g1-e20, whose deep points
-        # take the 40 x 40 bond matrix
+        # take the 40 x 40 bond matrix.  log_derivative takes the bond matrix
+        # on W1 (14 bonds) and the vertex form with H' on g1-e20 (40 bonds)
         graph = fixture(name) if name == "W1" else load_graph(DATA / f"{name}.graph")
         system = build_bond_system(graph)
         ks = np.linspace(6.0, 46.0, 20000) - 0.5j
         ks.imag[:deep] = -7.5
         assert np.count_nonzero(-ks.imag > system.vertex_depth) == deep
-        for evaluate in (secular_many, smatrix_many):
+        for evaluate in (secular_many, smatrix_many, log_derivative):
             tracemalloc.start()
             try:
                 out = evaluate(system, ks)

@@ -299,8 +299,8 @@ class TestFindZeros:
     def test_duplicate_zeros_from_two_leaves_count_once(self, neumann, monkeypatch):
         # every leaf polishes to the same zero: the dedup keeps one, which
         # falls short of the root winding
-        monkeypatch.setattr(zeros, "_newton",
-                            lambda system, box, scale, start: zeros.Resonance(5.0 + 0j, 0.0))
+        monkeypatch.setattr(zeros, "_polish", lambda system, box, scale, starts:
+                            [zeros.Resonance(5.0 + 0j, 0.0)] * len(starts))
         with pytest.raises(SolverError,
                            match="located 1 zeros but the boundary winding says 3"):
             find_zeros(neumann, SearchBox(0.1, 10.0, -0.5, 0.0))
@@ -420,29 +420,62 @@ def _secular_points(monkeypatch):
 
 
 def _log_derivative_points(monkeypatch):
-    """The point of each ``log_derivative`` call, in order."""
+    """The points of every ``log_derivative`` call, in order."""
     points = []
     log_derivative = zeros.log_derivative
 
-    def spy(system, k):
-        points.append(k)
-        return log_derivative(system, k)
+    def spy(system, ks):
+        points.extend(np.atleast_1d(ks).tolist())
+        return log_derivative(system, ks)
 
     monkeypatch.setattr(zeros, "log_derivative", spy)
     return points
 
 
-def _newton_runs(monkeypatch):
-    """(leaf, start, accepted zero or None) of each ``_newton`` call, in order."""
-    runs = []
-    newton = zeros._newton
+def _polished_leaves(monkeypatch):
+    """(leaf, starts, accepted zeros or None) of each ``_polish`` call, in order."""
+    leaves = []
+    polish = zeros._polish
 
-    def spy(system, box, scale, start):
-        runs.append((box, start, newton(system, box, scale, start)))
-        return runs[-1][2]
+    def spy(system, box, scale, starts):
+        leaves.append((box, starts, polish(system, box, scale, starts)))
+        return leaves[-1][2]
 
-    monkeypatch.setattr(zeros, "_newton", spy)
-    return runs
+    monkeypatch.setattr(zeros, "_polish", spy)
+    return leaves
+
+
+def _sequential_polish(system, box, scale, starts):
+    """The leaf polish as one Newton run after another, each step a one-point
+    ``log_derivative`` call and each residual a one-point ``secular_many``
+    call: the reference for :func:`zeros._polish`."""
+    leaf = []
+    margin = max(box.re_max - box.re_min, box.im_max - box.im_min)
+    for k in starts:
+        for _ in range(80):
+            try:
+                ld = zeros.log_derivative(system, k)
+            except np.linalg.LinAlgError:
+                break
+            if ld == 0.0:
+                return None
+            step = -1.0 / ld
+            k += step
+            if not box.contains(k, margin):
+                return None
+            if abs(step) < zeros._NEWTON_TOL:
+                break
+        else:
+            return None
+        if not box.contains(k, zeros._DEDUP_RADIUS):
+            return None
+        residual = float(np.abs(secular_many(system, [k])[0]))
+        if residual > zeros._RESIDUAL_REL * scale:
+            return None
+        if any(abs(k - z.k) < zeros._DEDUP_RADIUS for z in leaf):
+            return None
+        leaf.append(zeros.Resonance(k, residual))
+    return leaf
 
 
 def _on(piece, line):
@@ -458,22 +491,26 @@ def _on(piece, line):
 
 class TestFailurePaths:
     def test_the_residual_gate_refuses_a_converged_newton(self, systems, monkeypatch):
-        # with a gate of 0 Newton converges, measures its residual and is
+        # with a gate of 0 Newton converges, measures its residuals and is
         # refused every time, so the leaf shrinks until no split line is left
-        newton, results = zeros._newton, []
+        polish, results, inside = zeros._polish, [], []
         secular, residuals = zeros.secular_many, []
 
-        def spy_newton(system, box, scale, start):
-            results.append(newton(system, box, scale, start))
+        def spy_polish(system, box, scale, starts):
+            inside.append(box)
+            try:
+                results.append(polish(system, box, scale, starts))
+            finally:
+                inside.pop()
             return results[-1]
 
         def spy_secular(system, ks):
-            if len(ks) == 1:
+            if inside:
                 residuals.append(ks)
             return secular(system, ks)
 
         monkeypatch.setattr(zeros, "_RESIDUAL_REL", 0.0)
-        monkeypatch.setattr(zeros, "_newton", spy_newton)
+        monkeypatch.setattr(zeros, "_polish", spy_polish)
         monkeypatch.setattr(zeros, "secular_many", spy_secular)
         with pytest.raises(SolverError):
             find_zeros(systems["W1"], SearchBox(16.0, 17.5, -1.5, 0.0))
@@ -539,21 +576,22 @@ class TestFailurePaths:
         k = 16.825755091440058 - 0.8890841257805225j
         calls = []
 
-        def singular(system, point):
-            calls.append(point)
+        def singular(system, points):
+            calls.append(points)
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(zeros, "log_derivative", singular)
         box = SearchBox(k.real - 1e-9, k.real + 1e-9, k.imag - 1e-9, k.imag + 1e-9)
-        r = zeros._newton(systems["W1"], box, 1.0, k)
+        [r] = zeros._polish(systems["W1"], box, 1.0, [k])
         assert len(calls) == 1
         assert r.k == pytest.approx(k, abs=1e-12)
         assert r.residual <= zeros._RESIDUAL_REL
 
     def test_a_zero_log_derivative_shrinks_the_box(self, systems, monkeypatch):
-        monkeypatch.setattr(zeros, "log_derivative", lambda system, k: 0j)
+        monkeypatch.setattr(zeros, "log_derivative",
+                            lambda system, ks: np.zeros(len(ks), dtype=complex))
         box = SearchBox(16.0, 17.5, -1.5, 0.0)
-        assert zeros._newton(systems["W1"], box, 1.0, 16.8 - 0.9j) is None
+        assert zeros._polish(systems["W1"], box, 1.0, [16.8 - 0.9j]) is None
 
     @pytest.mark.parametrize("ld", [complex(np.nan, np.nan), -1.0 / 5.0 + 0j],
                              ids=["nan", "step-of-5"])
@@ -563,15 +601,15 @@ class TestFailurePaths:
         # larger side, and a NaN step fails the same test, without a warning
         calls = []
 
-        def fixed(system, k):
-            calls.append(k)
-            return ld
+        def fixed(system, ks):
+            calls.append(ks)
+            return np.full(len(ks), ld)
 
         monkeypatch.setattr(zeros, "log_derivative", fixed)
         box = SearchBox(16.0, 17.5, -1.5, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert zeros._newton(systems["W1"], box, 1.0, 16.8 - 0.9j) is None
+            assert zeros._polish(systems["W1"], box, 1.0, [16.8 - 0.9j]) is None
         assert len(calls) == 1
 
     def test_steps_that_grow_inside_the_margin_go_on_to_the_zero(
@@ -584,18 +622,37 @@ class TestFailurePaths:
         points = []
         log_derivative = zeros.log_derivative
 
-        def spy(system, k):
-            points.append(k)
+        def spy(system, ks):
+            points.extend(ks)
             if len(points) <= len(forced):
-                return -1.0 / forced[len(points) - 1] + 0j
-            return log_derivative(system, k)
+                return np.array([-1.0 / forced[len(points) - 1] + 0j])
+            return log_derivative(system, ks)
 
         monkeypatch.setattr(zeros, "log_derivative", spy)
         box = SearchBox(z.real - 0.1, z.real + 0.1, z.imag - 0.1, z.imag + 0.1)
-        r = zeros._newton(systems["W1"], box, zs.boundary_scale, z)
-        assert r is not None and r.k == pytest.approx(z, abs=1e-12)
+        [r] = zeros._polish(systems["W1"], box, zs.boundary_scale, [z])
+        assert r.k == pytest.approx(z, abs=1e-12)
         assert np.real(points[1:5]) - z.real == pytest.approx(
             np.cumsum(forced), abs=1e-12)
+
+    def test_a_singular_point_in_a_batch_stops_only_its_run(self, neumann, monkeypatch):
+        # A(0) = I - Sigma of the Neumann interval is exactly singular: the
+        # leaf's first call raises, its two points are evaluated again one
+        # at a time, and the run at 0 is accepted where it stands while the
+        # other goes on alone to pi
+        calls = []
+        log_derivative = zeros.log_derivative
+
+        def spy(system, ks):
+            calls.append(np.atleast_1d(ks).tolist())
+            return log_derivative(system, ks)
+
+        monkeypatch.setattr(zeros, "log_derivative", spy)
+        box = SearchBox(-0.5, 4.0, -0.5, 0.5)
+        low, high = zeros._polish(neumann, box, 1.0, [0j, 3.0 - 0.01j])
+        assert low.k == 0j and high.k == pytest.approx(np.pi, abs=1e-12)
+        assert calls[:3] == [[0j, 3.0 - 0.01j], [0j], [3.0 - 0.01j]]
+        assert len(calls) > 4 and all(len(c) == 1 and c != [0j] for c in calls[3:])
 
     def test_subdivision_deeper_than_the_cap_is_a_solver_error(self, neumann, monkeypatch):
         # three zeros need at least two splits
@@ -621,11 +678,13 @@ class TestMomentStart:
             return starts
 
         monkeypatch.setattr(zeros, "_moment", spy)
-        runs = _newton_runs(monkeypatch)
+        leaves = _polished_leaves(monkeypatch)
         zs = find_zeros(system, box)
         # each run returns its zero (7 of 175 failed from leaf centres), so
         # every leaf with starts, of up to four zeros, is polished directly
-        assert all(r is not None for *_, r in runs)
+        assert all(found is not None for *_, found in leaves)
+        runs = [(leaf, start, zero) for leaf, starts, found in leaves
+                for start, zero in zip(starts, found)]
         assert sum(counts) == len(runs) == len(zs) > 0
         assert 2 <= max(counts) <= zeros._MAX_LEAF_COUNT
         for leaf, start, r in runs:
@@ -634,8 +693,9 @@ class TestMomentStart:
 
     def test_newton_takes_at_most_five_log_derivatives_per_zero(
             self, systems, band_box, monkeypatch):
-        # 178 calls from the leaf centres, 50 from the moments of count-1
-        # leaves, 58 from the power sums of leaves of up to four zeros
+        # 178 points from the leaf centres, 50 from the moments of count-1
+        # leaves, 58 from the power sums of leaves of up to four zeros, in
+        # 20 calls with each leaf's runs in lockstep
         points = _log_derivative_points(monkeypatch)
         assert len(find_zeros(systems["W1"], band_box)) == 13
         assert len(points) <= 5 * 13
@@ -646,9 +706,9 @@ class TestMomentStart:
         box = SearchBox(2.0, 4.0, -0.5, 0.0)
         *_, used, sides = zeros._winding_nudged(neumann, box)
         assert zeros._moment(neumann, used, sides, 1) is None
-        runs = _newton_runs(monkeypatch)
+        leaves = _polished_leaves(monkeypatch)
         [r] = find_zeros(neumann, box)
-        assert runs and all(leaf != used and start is not None for leaf, start, _ in runs)
+        assert leaves and all(leaf != used and starts is not None for leaf, starts, _ in leaves)
         assert r.k == pytest.approx(np.pi, abs=1e-10)
 
     def test_a_leaf_whose_runs_meet_is_bisected(self, systems, band_box, band_zeros,
@@ -677,6 +737,41 @@ class TestMomentStart:
                      and leaf.contains(complex(box.re_max, box.im_max))]
             assert parts
 
+    def test_a_three_zero_leaf_with_one_failing_run_is_bisected(
+            self, systems, band_box, band_zeros, monkeypatch):
+        # the third run of the first three-zero leaf meets a zero
+        # log-derivative at its start: the leaf fails at its first step and
+        # is bisected, and its parts find all three of its zeros
+        moment, poisoned = zeros._moment, []
+
+        def spy_moment(system, box, sides, count):
+            starts = moment(system, box, sides, count)
+            if count == 3 and starts is not None and not poisoned:
+                poisoned.append((box, starts[2]))
+            return starts
+
+        log_derivative, calls = zeros.log_derivative, []
+
+        def spy(system, ks):
+            calls.append(ks)
+            lds = log_derivative(system, ks)
+            return np.where(ks == poisoned[0][1], 0j, lds) if poisoned else lds
+
+        monkeypatch.setattr(zeros, "_moment", spy_moment)
+        monkeypatch.setattr(zeros, "log_derivative", spy)
+        leaves = _polished_leaves(monkeypatch)
+        ks = [r.k for r in find_zeros(systems["W1"], band_box)]
+        assert ks == pytest.approx([r.k for r in band_zeros["W1"]], abs=1e-10)
+        [(leaf, start)] = poisoned
+        assert [found for box, _, found in leaves if box == leaf] == [None]
+        assert [len(ks) for ks in calls if start in ks] == [3]
+        inside = sorted((r.k for r in band_zeros["W1"] if leaf.contains(r.k)), key=abs)
+        parts = sorted((z.k for box, _, found in leaves if box != leaf and found
+                        and leaf.contains(complex(box.re_min, box.im_min))
+                        and leaf.contains(complex(box.re_max, box.im_max))
+                        for z in found), key=abs)
+        assert len(inside) == 3 and parts == pytest.approx(inside, abs=1e-12)
+
     def test_a_leaf_whose_roots_are_not_finite_is_bisected(
             self, systems, band_box, band_zeros, monkeypatch):
         # Durand-Kerner iterates that meet divide by zero: no Newton run
@@ -690,10 +785,10 @@ class TestMomentStart:
             return roots(coefficients)
 
         monkeypatch.setattr(zeros, "_roots", meet)
-        runs = _newton_runs(monkeypatch)
+        leaves = _polished_leaves(monkeypatch)
         ks = [r.k for r in find_zeros(systems["W1"], band_box)]
         assert ks == pytest.approx([r.k for r in band_zeros["W1"]], abs=1e-10)
-        assert failed and all(np.isfinite(start) for _, start, _ in runs)
+        assert failed and all(np.isfinite(starts).all() for _, starts, _ in leaves)
 
     def test_roots_of_a_quartic_with_close_pairs(self):
         want = np.array([0.1 + 0.2j, 0.1 + 0.2001j, -0.3 - 0.1j, 0.4j])
@@ -714,18 +809,20 @@ class TestMomentStart:
         monkeypatch.setattr(zeros, "_moment", outside)
         points = _log_derivative_points(monkeypatch)
         firsts = []
-        newton = zeros._newton
+        polish = zeros._polish
 
-        def spy(system, box, scale, start):
+        def spy(system, box, scale, starts):
             margin = max(box.re_max - box.re_min, box.im_max - box.im_min)
-            assert not box.contains(start) and box.contains(start, margin)
-            firsts.append((len(points), start))
-            return newton(system, box, scale, start)
+            for start in starts:
+                assert not box.contains(start) and box.contains(start, margin)
+            firsts.append((len(points), starts))
+            return polish(system, box, scale, starts)
 
-        monkeypatch.setattr(zeros, "_newton", spy)
+        monkeypatch.setattr(zeros, "_polish", spy)
         ks = [r.k for r in find_zeros(systems["W1"], band_box)]
         assert ks == pytest.approx([r.k for r in band_zeros["W1"]], abs=1e-10)
-        assert firsts and [points[i] for i, _ in firsts] == [start for _, start in firsts]
+        # each leaf's first log_derivative call holds its starts
+        assert firsts and all(points[i:i + len(starts)] == starts for i, starts in firsts)
 
 
 @pytest.fixture()
@@ -1014,6 +1111,22 @@ class TestStripCounterProperties:
         assert counts == sorted(counts)
 
 
+def _zeros_or_message(system, box):
+    """The zeros ``find_zeros`` locates in ``box``, or its SolverError message."""
+    try:
+        return [r.k for r in find_zeros(system, box)]
+    except SolverError as error:
+        return str(error)
+
+
+def _assert_same_zeros(got, want, tol):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str) and len(got) == len(want)
+        assert np.all(np.abs(np.subtract(got, want)) <= tol)
+
+
 class TestLeafCapProperties:
     @given(small_open_graphs(5), st.floats(0.5, 20.0), st.floats(2.0, 20.0),
            st.floats(-4.0, -0.5))
@@ -1022,22 +1135,22 @@ class TestLeafCapProperties:
             self, graph, re_min, width, im_min):
         system = build_bond_system(graph)
         box = SearchBox(re_min, re_min + width, im_min, 0.0)
-
-        def solve():
-            try:
-                return [r.k for r in find_zeros(system, box)]
-            except SolverError as error:
-                return str(error)
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(zeros, "_MAX_LEAF_COUNT", 1)
-            single = solve()
-        several = solve()
-        if isinstance(single, str):
-            assert several == single
-        else:
-            assert not isinstance(several, str) and len(several) == len(single)
-            assert np.all(np.abs(np.subtract(several, single)) <= 1e-12)
+            single = _zeros_or_message(system, box)
+        _assert_same_zeros(_zeros_or_message(system, box), single, 1e-12)
+
+    @given(small_open_graphs(5), st.floats(0.5, 20.0), st.floats(2.0, 20.0),
+           st.floats(-4.0, -0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_runs_in_lockstep_find_what_runs_in_turn_find(
+            self, graph, re_min, width, im_min):
+        system = build_bond_system(graph)
+        box = SearchBox(re_min, re_min + width, im_min, 0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeros, "_polish", _sequential_polish)
+            in_turn = _zeros_or_message(system, box)
+        _assert_same_zeros(_zeros_or_message(system, box), in_turn, 1e-13)
 
 
 class TestStripHelperProperties:
