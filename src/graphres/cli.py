@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 invalid graph or arguments, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ def _absorption(text: str) -> float:
     return value
 
 
+@functools.cache  # built on the first main call, then reused by the process
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphres",

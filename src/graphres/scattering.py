@@ -76,9 +76,12 @@ from .graph import MetricGraph, _near_balanced
 # the longest vertex-form edge that holds an edge of graph._near_balanced
 _MIN_EDGE_GAP = 1e-2
 _MAX_EDGE_DEPTH = 1.5
-# log_derivative factors H only from this bond count up: below it, solving
-# the bond matrix costs less than the vertex form's extra array steps (the
-# two cross between 28 and 32 bonds, one point per call)
+# log_derivative factors H only from this bond count up.  Below it the bond
+# matrix's stacked inverse costs less than the vertex form's extra array
+# steps at the few points a Newton call carries (2.6 on average): on W1, 14
+# bonds, 35 against 51 us at one point per call and 51 against 56 us at
+# three; they cross at four, and at eight the vertex form wins, 67 against
+# 89 us (2-core Xeon VM, one BLAS thread)
 _MIN_NEWTON_BONDS = 32
 # one batch of points, on either form, allocates about this many bytes
 # (``_batch_size``); LAPACK works per matrix, so no value depends on it.
@@ -294,21 +297,24 @@ def _evaluate(system: BondSystem, ks, shape, vertex, bond,
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     ell = system.vertex_lengths
     out = np.empty((ks.size, *shape), dtype=complex)
-    deep = (-ks.imag > system.vertex_depth) | (vertex is None)
-    served, left = np.flatnonzero(~deep), [np.flatnonzero(deep)]
+    if vertex is None:
+        bonded = np.ones(ks.size, dtype=bool)
+    else:
+        bonded = ks.imag < -system.vertex_depth
+    served = np.flatnonzero(~bonded)
     step = _batch_size(system, "vertex", derivative)
     for lo in range(0, served.size, step):
         at = served[lo:lo + step]
-        w = np.exp(-1j * ks[at, None] * ell)
+        w = np.exp(-1j * ks[at][:, None] * ell)
         s = w * w - 1.0
         near = (np.abs(s) < _MIN_EDGE_GAP * np.abs(w) ** 2).any(axis=1)
-        if near.any():
-            left.append(at[near])
+        if np.count_nonzero(near):  # cheaper than near.any() on a few points
+            bonded[at[near]] = True
             at, w, s = at[~near], w[~near], s[~near]
         if at.size:
             out[at] = vertex(w, s, _vertex_matrices(system, w, s, derivative))
         del w, s
-    left = np.concatenate(left)
+    left = np.flatnonzero(bonded)
     step = _batch_size(system, "bond", derivative)
     for lo in range(0, left.size, step):
         at = left[lo:lo + step]

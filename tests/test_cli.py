@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphres.cli
 import graphres.weyl
 from graphres import (C0, DEFAULT_ABSORPTION, DEFAULT_BAND_GHZ, FIXTURE_NAMES,
                       build_bond_system, dump_graph, fixture, interval, sweep)
@@ -478,3 +482,75 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["resonances", "--fixture", "W9"])
         assert exc.value.code == 2
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once and reuses it on every later call."""
+
+    SEQUENCE = (
+        ("sweep", "--fixture", "W1", "--absorption", "default", "--depth", "0.001",
+         "--out", "A.csv"),
+        ("sweep", "--fixture", "W1", "--out", "B.csv"),
+        ("sweep", "--fixture", "W1", "--absorption", "nan"),
+        ("sweep", "--help"),
+        ("classify", "--fixture", "nW1"),
+    )
+
+    @staticmethod
+    def call(capsys, monkeypatch, argv, where):
+        """Exit code, stdout, stderr and the files written, run in a new directory."""
+        where.mkdir()
+        monkeypatch.chdir(where)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+        return code, captured.out, captured.err, files
+
+    def test_calls_do_not_leak_into_each_other(self, capsys, monkeypatch, tmp_path):
+        parsed = []
+        run_sweep = graphres.cli._COMMANDS["sweep"]
+
+        def spy(args, graph):
+            parsed.append(args)
+            return run_sweep(args, graph)
+
+        monkeypatch.setitem(graphres.cli._COMMANDS, "sweep", spy)
+        shared = [self.call(capsys, monkeypatch, argv, tmp_path / f"shared{i}")
+                  for i, argv in enumerate(self.SEQUENCE)]
+        assert graphres.cli._parser() is graphres.cli._parser()
+        fresh = []
+        for i, argv in enumerate(self.SEQUENCE):
+            graphres.cli._parser.cache_clear()
+            fresh.append(self.call(capsys, monkeypatch, argv, tmp_path / f"fresh{i}"))
+        assert [r[0] for r in shared] == [0, 0, 2, 0, 0]
+        assert sorted(shared[1][3]) == ["B.csv", "B.dips.csv"]
+        # the second sweep takes the defaults, not the first one's options
+        assert [(a.absorption, a.depth) for a in parsed[:2]] == [(DEFAULT_ABSORPTION, 0.001),
+                                                                (0.0, 8.0)]
+        assert "absorption must be finite and >= 0" in shared[2][2]
+        assert shared[3][1].startswith("usage: graphres sweep")
+        for argv, warm, cold in zip(self.SEQUENCE, shared, fresh):
+            assert warm == cold, argv
+
+    def test_import_builds_no_parser(self):
+        # counts every ArgumentParser made while graphres.cli is imported
+        code = (
+            "import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **kw):\n"
+            "    made.append(self)\n"
+            "    init(self, *a, **kw)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import graphres.cli\n"
+            "print(len(made))\n"
+        )
+        src = str(Path(graphres.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["0"]
