@@ -19,8 +19,6 @@ from .scattering import (
     BondSystem,
     build_bond_system,
     det_smatrix_modulus,
-    external_smatrix,
-    secular,
     secular_many,
     smatrix_many,
     vertex_matrix,
@@ -70,8 +68,6 @@ __all__ = [
     "BondSystem",
     "build_bond_system",
     "det_smatrix_modulus",
-    "external_smatrix",
-    "secular",
     "secular_many",
     "smatrix_many",
     "vertex_matrix",

@@ -63,7 +63,6 @@ relative to max(|.|, 1), for the determinant and S.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +77,12 @@ _MIN_EDGE_GAP = 1e-2
 _MAX_EDGE_DEPTH = 1.5
 # log_derivative factors H only from this bond count up.  Below it the bond
 # matrix's stacked inverse costs less than the vertex form's extra array
-# steps at the few points a Newton call carries (2.6 on average): on W1, 14
-# bonds, 35 against 51 us at one point per call and 51 against 56 us at
-# three; they cross at four, and at eight the vertex form wins, 67 against
-# 89 us (2-core Xeon VM, one BLAS thread)
-_MIN_NEWTON_BONDS = 32
+# steps at the few points a Newton call carries (2.6 on average).  Bond path
+# against vertex form, us per call: W1 (14 bonds) 38/56 at one point, 54/62
+# at three; 18 bonds 44/55, 57/58, 71/62 and 86/61 at one to four points;
+# 20 bonds 46/57, 64/59, 78/59 and 98/65 (perfbench random_graph draws of 9
+# and 10 edges; 10th percentiles, 2-core Xeon VM, one BLAS thread)
+_MIN_NEWTON_BONDS = 20
 # one batch of points, on either form, allocates about this many bytes
 # (``_batch_size``); LAPACK works per matrix, so no value depends on it.
 # Smaller batches slow the fixtures' calls, larger ones leave glibc more
@@ -331,14 +331,9 @@ def secular_many(system: BondSystem, ks) -> np.ndarray:
     )
 
 
-def secular(system: BondSystem, k: complex) -> complex:
-    """``F(k) = e^{-2ikL} det(I - e^{ikL} Sigma)``; its zeros are the resonances."""
-    return complex(secular_many(system, [k])[0])
-
-
 def log_derivative(system: BondSystem, ks):
-    """``(det M)'/det M = F'/F + 2iL``, finite and stable near zeros, at one
-    point (a complex) or an array of them.
+    """``(det M)'/det M = F'/F + 2iL``, finite and stable near zeros, at each
+    of an array of wavenumbers.
 
     Where the vertex form serves k, on a graph of at least
     ``_MIN_NEWTON_BONDS`` bonds, it is ``sum_e -2i l_e/s_e + tr(H^-1 H')``;
@@ -356,8 +351,7 @@ def log_derivative(system: BondSystem, ks):
         return ds.sum(axis=1) + np.linalg.solve(H[:m], H[m:]).trace(axis1=1, axis2=2)
 
     small = system.n_bonds < _MIN_NEWTON_BONDS
-    out = _evaluate(system, ks, (), None if small else vertex, bond, derivative=True)
-    return complex(out[0]) if np.ndim(ks) == 0 else out
+    return _evaluate(system, ks, (), None if small else vertex, bond, derivative=True)
 
 
 def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -391,24 +385,8 @@ def smatrix_many(system: BondSystem, ks) -> np.ndarray:
     )
 
 
-def external_smatrix(system: BondSystem, k: complex) -> np.ndarray:
-    """Scattering matrix ``rho_LL + rho_LB (e^{-ikL} - Sigma)^-1 rho_BL``.
-
-    Unitary for real k on a lossless graph; its poles sit at the secular
-    zeros, so values within ~1e-12 of a resonance are flagged as unreliable.
-    """
-    if abs(secular(system, k)) < 1e-12:
-        warnings.warn(
-            f"k={k} is numerically at a resonance; scattering matrix is "
-            "near-singular",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return smatrix_many(system, [k])[0]
-
-
 def det_smatrix_modulus(system: BondSystem, nu, absorption: float = 0.0):
-    """|det S| at ``k = 2 pi nu / c + i * absorption``.
+    """|det S| at ``k = 2 pi nu / c + i * absorption``, one per frequency in ``nu``.
 
     Lossless (absorption 0) values are exactly 1 up to roundoff; positive
     absorption pulls the evaluation line toward the resonance poles and
@@ -416,9 +394,8 @@ def det_smatrix_modulus(system: BondSystem, nu, absorption: float = 0.0):
     """
     if not 0.0 <= absorption < np.inf:
         raise ValueError(f"absorption must be finite and >= 0, got {absorption}")
-    nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-    if not np.all((0.0 < nu_arr) & (nu_arr < np.inf)):
+    nu = np.asarray(nu, dtype=float)
+    if not np.all((0.0 < nu) & (nu < np.inf)):
         raise ValueError("frequencies must be finite and positive")
-    ks = 2.0 * np.pi * nu_arr / C0 + 1j * absorption
-    mods = np.abs(np.linalg.det(smatrix_many(system, ks)))
-    return float(mods[0]) if np.isscalar(nu) or np.ndim(nu) == 0 else mods
+    ks = 2.0 * np.pi * nu / C0 + 1j * absorption
+    return np.abs(np.linalg.det(smatrix_many(system, ks)))

@@ -538,7 +538,7 @@ def _polish(system, box, scale, starts):
 def _log_derivative_or_none(system, k):
     """``log_derivative`` at the one point k, or None where it is singular."""
     try:
-        return log_derivative(system, k)
+        return log_derivative(system, [k])[0]
     except np.linalg.LinAlgError:
         return None
 

@@ -454,7 +454,7 @@ def _sequential_polish(system, box, scale, starts):
     for k in starts:
         for _ in range(80):
             try:
-                ld = zeros.log_derivative(system, k)
+                ld = complex(zeros.log_derivative(system, [k])[0])
             except np.linalg.LinAlgError:
                 break
             if ld == 0.0:
@@ -654,6 +654,21 @@ class TestFailurePaths:
         assert calls[:3] == [[0j, 3.0 - 0.01j], [0j], [3.0 - 0.01j]]
         assert len(calls) > 4 and all(len(c) == 1 and c != [0j] for c in calls[3:])
 
+    def test_a_run_that_never_converges_shrinks_the_box_after_80_steps(
+            self, systems, monkeypatch):
+        # each step reflects the point through the leaf's centre: it stays in
+        # the leaf and never falls below the tolerance
+        centre, calls = 16.8 - 0.9j, []
+
+        def reflect(system, ks):
+            calls.append(ks)
+            return -1.0 / (2.0 * (centre - ks))
+
+        monkeypatch.setattr(zeros, "log_derivative", reflect)
+        box = SearchBox(16.7, 16.9, -1.0, -0.8)
+        assert zeros._polish(systems["W1"], box, 1.0, [centre + 0.01]) is None
+        assert len(calls) == 80
+
     def test_subdivision_deeper_than_the_cap_is_a_solver_error(self, neumann, monkeypatch):
         # three zeros need at least two splits
         monkeypatch.setattr(zeros, "_MAX_DEPTH", 1)
@@ -794,6 +809,17 @@ class TestMomentStart:
         want = np.array([0.1 + 0.2j, 0.1 + 0.2001j, -0.3 - 0.1j, 0.4j])
         got = zeros._roots(np.poly(want))
         assert np.sort_complex(got) == pytest.approx(np.sort_complex(want), abs=1e-9)
+
+    def test_roots_that_overflow_leave_the_leaf_without_starts(self, neumann, monkeypatch):
+        # Python complex arithmetic raises on overflow where numpy gives inf:
+        # the roots come back as NaNs, and the leaf has no moment
+        coefficients = [1.0, 1e300, 1e300, 1e300]
+        roots = zeros._roots
+        got = roots(coefficients)
+        assert len(got) == 3 and np.isnan(got).all()
+        monkeypatch.setattr(zeros, "_roots", lambda c: roots(coefficients))
+        box = SearchBox(2.0, 4.0, -0.5, 0.5)
+        assert zeros._moment(neumann, box, _sides(neumann, box, positions=True), 3) is None
 
     def test_a_moment_outside_the_leaf_within_the_margin_starts_newton(
             self, systems, band_box, band_zeros, monkeypatch):
