@@ -168,8 +168,9 @@ def _near_balanced(graph: MetricGraph) -> list[int]:
     """Indices of the edges that touch the closure of the balanced vertices,
     which takes in each vertex of excess (bond ends - leads) 2j with j ends on
     such edges: without those it has as many ends as leads.  The one closure:
-    :func:`effective_size` searches these edges, and the vertex form of
-    ``scattering`` is trusted down to a depth set by the longest of them."""
+    :func:`effective_size` searches these edges, and where a balanced vertex
+    loses its leading term the vertex form of ``scattering`` falls back to a
+    depth set by the longest of them."""
     excess = _excess(graph)
     reached = {v for v, x in excess.items() if x == 0}
     while True:

@@ -39,24 +39,36 @@ graph's own bonds.  Two kinds of point are evaluated on A(k) itself.  The
 product cancels with an error of order eps/|1 - e^{2ik l_e}|^2, so a point
 with some ``|s_e| < 1e-2 |w_e|^2`` on a vertex-form edge (a real k within
 about 0.005/l_e of a Dirichlet point n pi/l_e) is one.  The other kind
-exists only on a graph with a balanced vertex (as many leads as bond ends).
-H has the constant diagonal h0_v = (leads_v - bond ends_v)/d_v (see
-``_vertex_terms``), and deep in the lower half-plane w/s -> 0 and w^2/s ->
-0, so H -> diag(h0).  With every h0_v nonzero, det H tends to prod h0 and
-nothing cancels, and the vertex form serves every depth: on random
-2-5-vertex graphs down to Im k = -8 it stays within 4e-13 of the bond
-matrix relative, and on the fixtures within 4e-14 of 50-digit arithmetic
-down to Im k = -40.  A balanced vertex has no constant term, and its row of
-H cancels along chains of edges: joined to a closed vertex it gives a block
-determinant of order 1/(s_1 s_2) out of terms of order 1/s_1, so the
-relative error grows like a power of ``|1/w_e| = e^{-Im k l_e}``.  The
-chains stay within the closure of the balanced vertices that
-``effective_size`` searches (``graph._near_balanced``: it takes in a vertex
-of bond ends - leads = 2j once j of its ends lie on its edges), and a point
-below Im k = -1.5/l, l the longest vertex-form edge that holds an edge of
-the closure (``vertex_depth``), is the other kind.  Short of that bound, on
-about 4 660 random 2-5-vertex graphs with a balanced vertex (8 points each,
-down to Im k = -8), the vertex form stays within 5.1e-13 of the bond matrix
+exists only on a graph with a balanced vertex (as many leads as bond ends)
+that loses its leading term.  H has the constant diagonal h0_v = (leads_v -
+bond ends_v)/d_v (see ``_vertex_terms``), and deep in the lower half-plane
+w/s -> 0 and w^2/s -> 0, so H -> diag(h0).  With every h0_v nonzero, det H
+tends to prod h0 and nothing cancels: on random 2-5-vertex graphs down to
+Im k = -8 the vertex form stays within 4e-13 of the bond matrix relative,
+and on the fixtures within 4e-14 of 50-digit arithmetic down to Im k = -40.
+A balanced vertex b has h0_b = 0.  If its edges are no loops and reach
+distinct neighbours u, none balanced or shared with another balanced
+vertex, H's Schur complement onto b (n_b bond ends) is
+
+    -(1/n_b) sum_e w_e^2 (1 - 2/x_u) + O(w^3),    x_u = excess_u,
+
+as H_UU tends to diag(h0_U), nonsingular off the balanced set.  Where the
+terms of b's shortest edges do not sum to 0 (``_keeps_leading_terms``) every
+balanced row keeps its leading term, det H keeps its relative accuracy, and
+the vertex form serves every depth: on nW1, nW2, the generated benchmark
+graphs and 700 random graphs with tied edge lengths it stays within 6e-14
+of 40-digit arithmetic down to Im k = -16.  Where they cancel (a neighbour
+of excess 2, or excesses 1, 4 and 4 on equal edges) what is left is an
+order of w smaller than what cancelled, and the relative error grows like a
+power of ``|1/w_e| = e^{-Im k l_e}``: 2e-6 at Im k = -16 on a pendant joined
+to a vertex of excess 2.  Such a graph keeps a bound.  The cancellation
+stays within the closure of the balanced vertices that ``effective_size``
+searches (``graph._near_balanced``: it takes in a vertex of bond ends -
+leads = 2j once j of its ends lie on its edges), and a point below Im k =
+-1.5/l, l the longest vertex-form edge that holds an edge of the closure
+(``vertex_depth``), is the other kind.  Short of that bound, on about 4 660
+random 2-5-vertex graphs with a balanced vertex (8 points each, down to
+Im k = -8), the vertex form stays within 5.1e-13 of the bond matrix
 relative to max(|.|, 1), for the determinant and S.
 """
 
@@ -71,10 +83,17 @@ from .constants import C0
 from .graph import MetricGraph, _near_balanced
 
 # the vertex form loses digits below this min_e |1 - e^{2ik l_e}|, and on a
-# graph with a balanced vertex above this (-Im k) l = -log |e^{-ik l}|, l
-# the longest vertex-form edge that holds an edge of graph._near_balanced
+# graph whose balanced vertex loses its leading term above this (-Im k) l =
+# -log |e^{-ik l}|, l the longest vertex-form edge that holds an edge of
+# graph._near_balanced
 _MIN_EDGE_GAP = 1e-2
 _MAX_EDGE_DEPTH = 1.5
+# a balanced vertex's leading term sums over its edges within this relative
+# margin of its shortest.  With one of three tied 0.5 m edges whose terms
+# cancel lengthened by 1e-3 m (inside), 5.1e-3 or 1e-2 m (outside), the
+# vertex form stayed within 7e-14, 2e-14 and 3e-14 of 40-digit arithmetic
+# from Im k = -1 to -32
+_LEADING_MARGIN = 1e-2
 # log_derivative factors H only from this bond count up.  Below it the bond
 # matrix's stacked inverse costs less than the vertex form's extra array
 # steps at the few points a Newton call carries (2.6 on average).  Bond path
@@ -107,7 +126,7 @@ class BondSystem:
     # index of its first term, its flat position and its row weight
     h_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     # the deepest -Im k the vertex form serves (see the module docstring):
-    # finite only with a balanced vertex (some h0_v = 0)
+    # finite only where a balanced vertex (some h0_v = 0) loses its leading term
     vertex_depth: float
     # the order of F's zero at k = 0: E - V + 1 over the vertex form's V
     # vertices with edges, plus 1 if none of them has a lead
@@ -193,10 +212,13 @@ def build_bond_system(graph: MetricGraph) -> BondSystem:
     weights = 2.0 / degree
     anchors = np.array([index[l.anchor] for l in graph.leads], dtype=np.intp)
     h_terms = _vertex_terms(ends, degree, excess)
-    # 1.5/l, l the longest vertex-form edge that holds an edge of the closure
-    near = set(_near_balanced(graph))
-    vertex_depth = min((_MAX_EDGE_DEPTH / l for i, l in zip(kept, vertex_lengths)
-                        if near.intersection(joined[i])), default=np.inf)
+    # inf where every balanced vertex keeps its leading term, else 1.5/l, l
+    # the longest vertex-form edge that holds an edge of the closure
+    vertex_depth = np.inf
+    if not _keeps_leading_terms(ends, excess, vertex_lengths):
+        near = set(_near_balanced(graph))
+        vertex_depth = min(_MAX_EDGE_DEPTH / l for i, l in zip(kept, vertex_lengths)
+                           if near.intersection(joined[i]))
     V = np.count_nonzero(bond_ends)
     order_at_zero = int(V and len(kept) - V + 1 + (not bond_ends[anchors].any()))
     for a in (lengths, sigma, lead_in, lead_out, lead_reflect, weights, anchors,
@@ -224,6 +246,31 @@ def _vertex_terms(ends: np.ndarray, degree: np.ndarray, excess: np.ndarray):
     first = np.flatnonzero(np.diff(flat, prepend=-1))
     h0 = -excess / degree
     return h0, column, first, flat[first], 2.0 / degree[flat[first] // V]
+
+
+def _keeps_leading_terms(ends: np.ndarray, excess: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether H keeps a leading term on every balanced vertex b, deep down.
+
+    Its edges must be no loops and reach distinct neighbours u, none of them
+    balanced or shared with another balanced vertex.  Then H_UU tends to
+    diag(h0_U), and H's Schur complement onto b to ``-(1/n_b) sum_e w_e^2 (1
+    - 2/x_u)``, x_u = excess_u; its largest terms, over the edges within
+    ``_LEADING_MARGIN`` of b's shortest, must not sum to 0.  The sum is
+    tested in integers, as ``sum_i (x_i - 2) prod_{j != i} x_j``.
+    """
+    balanced = set(np.flatnonzero(excess == 0).tolist())
+    pairs, reached = ends.tolist(), set()
+    for b in balanced:
+        edges = [(l, u if v == b else v) for (v, u), l in zip(pairs, lengths) if b in (v, u)]
+        far = {u for _, u in edges}
+        if b in far or len(far) < len(edges) or far & (balanced | reached):
+            return False
+        reached |= far
+        shortest = min(edges)[0] * (1.0 + _LEADING_MARGIN)
+        x = [int(excess[u]) for l, u in edges if l <= shortest]
+        if not sum((xi - 2) * math.prod(x[:i] + x[i + 1:]) for i, xi in enumerate(x)):
+            return False
+    return True
 
 
 def _batch_size(system: BondSystem, form: str, derivative: bool = False) -> int:
@@ -302,6 +349,7 @@ def _evaluate(system: BondSystem, ks, shape, vertex, bond,
     else:
         bonded = ks.imag < -system.vertex_depth
     served = np.flatnonzero(~bonded)
+    any_bonded = served.size < ks.size
     step = _batch_size(system, "vertex", derivative)
     for lo in range(0, served.size, step):
         at = served[lo:lo + step]
@@ -309,11 +357,14 @@ def _evaluate(system: BondSystem, ks, shape, vertex, bond,
         s = w * w - 1.0
         near = (np.abs(s) < _MIN_EDGE_GAP * np.abs(w) ** 2).any(axis=1)
         if np.count_nonzero(near):  # cheaper than near.any() on a few points
+            any_bonded = True
             bonded[at[near]] = True
             at, w, s = at[~near], w[~near], s[~near]
         if at.size:
             out[at] = vertex(w, s, _vertex_matrices(system, w, s, derivative))
         del w, s
+    if not any_bonded:
+        return out
     left = np.flatnonzero(bonded)
     step = _batch_size(system, "bond", derivative)
     for lo in range(0, left.size, step):

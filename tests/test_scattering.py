@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -437,6 +438,8 @@ LOG_DERIVATIVE_GRAPHS = {
     **dict(zip([*FIXTURE_NAMES, "self-loop"], REFERENCE_GRAPHS)),
     "random-40": _random_graph(40, 5),
     "balanced-41": _with_balanced_pendant(_random_graph(40, 5)),
+    # its balanced pendant's leading term cancels, so it keeps a depth bound
+    "g1-e20-pendant": load_graph(DATA / "g1-e20-pendant.graph"),
 }
 
 
@@ -477,7 +480,7 @@ class TestLogDerivativeVertexForm:
         assert np.all(np.abs(got - want) <= (1e-12 + 1e-15 / gap ** 2) * np.abs(want))
 
     def test_deep_and_near_dirichlet_points_take_the_bond_path(self, bond_points):
-        graph = LOG_DERIVATIVE_GRAPHS["balanced-41"]
+        graph = LOG_DERIVATIVE_GRAPHS["g1-e20-pendant"]
         assert _balanced(graph)
         system = build_bond_system(graph)
         assert system.n_bonds >= scattering._MIN_NEWTON_BONDS
@@ -526,14 +529,12 @@ class TestLogDerivativeVertexForm:
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, lengths=st.floats(0.05, 1.0)):
     """Connected 2-5-vertex graphs; self-loops, parallel edges and 0-4 leads."""
     n = draw(st.integers(2, 5))
     pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     pairs += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4))
-    edges = tuple(
-        Edge(i + 1, a, b, draw(st.floats(0.05, 1.0))) for i, (a, b) in enumerate(pairs)
-    )
+    edges = tuple(Edge(i + 1, a, b, draw(lengths)) for i, (a, b) in enumerate(pairs))
     anchors = draw(st.lists(st.integers(1, n), max_size=4))
     leads = tuple(Lead(i + 1, v) for i, v in enumerate(anchors))
     return MetricGraph(edges, leads)
@@ -665,8 +666,11 @@ def test_deep_vertex_form_against_50_digits(name, im, bond_points):
 
 def test_balanced_pendant_behind_a_lead_free_chain_against_50_digits():
     # vertex 7 is balanced, and the path 4-2-1-3-5-6-7 merges into one
-    # 5.14 m edge, so the vertex form serves only Im k >= -0.29.  A bound
-    # from the 1 m edges alone lost 1.3e-11 at Im k = -1.49.
+    # 5.14 m edge to vertex 4 (excess -1), so its leading term stays and the
+    # vertex form serves every depth.  The 1.3e-11 once lost at Im k = -1.49
+    # was the unmerged form's; the merged one stays within 1.6e-13 relative
+    # of 40 digits from Im k = -0.2 to -6 at Re k <= 120, a limit set by the
+    # phase rounding on the 5.14 m edge, not by depth.
     graph = MetricGraph(
         (Edge(1, 1, 2, 0.3), Edge(2, 1, 3, 1.0), Edge(3, 2, 4, 0.8438922877457612),
          Edge(4, 3, 5, 1.0), Edge(5, 5, 6, 1.0), Edge(6, 6, 7, 1.0)),
@@ -674,6 +678,7 @@ def test_balanced_pendant_behind_a_lead_free_chain_against_50_digits():
     )
     system = build_bond_system(graph)
     assert system.n_vertices == 2
+    assert system.vertex_depth == np.inf
     ks = np.array([77.39290065763844 - 1.4905806608184788j,
                    *(complex(re, im) for re in (10.0, 47.7, 120.0) for im in (-1.2, -1.45))])
     got = secular_many(system, ks)
@@ -695,6 +700,124 @@ def test_depth_bound_reaches_the_closure_through_an_even_excess(bond_points):
                    for re in (3.0, 37.3, 211.9) for fraction in (0.3, 0.7, 1.0)])
     _assert_reduction(system, ks)
     assert not bond_points
+
+
+def _graph(edges, anchors):
+    """Edges ``(a, b, length)`` and leads on ``anchors``, numbered in order."""
+    return MetricGraph(tuple(Edge(i + 1, a, b, l) for i, (a, b, l) in enumerate(edges)),
+                       tuple(Lead(i + 1, v) for i, v in enumerate(anchors)))
+
+
+# vertex 1 is balanced, and its three 0.5 m edges reach vertices of excess
+# (bond ends - leads) 1, 4 and 4: (1 - 2/1) + (1 - 2/4) + (1 - 2/4) = 0
+CANCELLING = ([(1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5), (2, 5, 0.37), (3, 5, 0.61),
+               (3, 6, 0.83), (3, 6, 0.29), (4, 5, 0.71), (4, 6, 0.43), (4, 6, 0.57)],
+              [1, 1, 1, 2, 5, 6])
+LIFTED_GRAPHS = {
+    "nW1": fixture("nW1"),
+    "nW2": fixture("nW2"),
+    **{name: load_graph(DATA / f"{name}.graph")
+       # g4-e40's balanced pendant sits behind a merged chain
+       for name in ("chain4", "g1-e20", "g1-e30", "g4-e40")},
+}
+
+
+@pytest.mark.parametrize("name, im", [
+    pytest.param(name, im, id=f"{im}-{name}") for name in LIFTED_GRAPHS for im in (-8, -12, -16)
+])
+def test_lifted_graphs_against_50_digits(name, im, bond_points, monkeypatch):
+    # every balanced vertex keeps the leading term of H's Schur complement
+    # onto it, so the vertex form serves every depth.  The graphs of 60 and
+    # 80 bonds take one point: 50-digit LU on them takes about a second
+    monkeypatch.setattr(scattering, "_MIN_NEWTON_BONDS", 0)
+    system = build_bond_system(LIFTED_GRAPHS[name])
+    assert system.vertex_depth == np.inf
+    res = (3.0, 37.3, 211.9) if system.n_bonds <= 40 else (37.3,)
+    ks = np.array([complex(re, im) for re in res])
+    got, S, ld = secular_many(system, ks), smatrix_many(system, ks), log_derivative(system, ks)
+    assert not bond_points
+    want = np.array([_mp_secular(system, k) for k in ks])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    want = np.array([_bond_log_derivative(system, k) for k in ks])
+    assert np.all(np.abs(ld - want) <= 1e-12 * np.abs(want))
+    want = np.array([_bond_smatrix(system, k) for k in ks])
+    size = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(S - want).max(axis=(1, 2)) <= 1e-12 * size)
+
+
+@pytest.mark.parametrize("edges, anchors", [
+    # vertex 1 is balanced and its one edge reaches vertex 2 of excess 2:
+    # the vertex form lost 2e-11 at Im k = -8 and 2e-6 at -16
+    pytest.param([(1, 2, 0.5), (2, 3, 0.7), (2, 4, 0.9), (3, 4, 0.6)], [1, 2, 3],
+                 id="excess-2"),
+    # it lost 1e-12 at -8 and 2e-10 at -16
+    pytest.param(*CANCELLING, id="excesses-1-4-4"),
+])
+def test_cancelling_leading_terms_keep_the_depth_bound(edges, anchors, bond_points):
+    system = build_bond_system(_graph(edges, anchors))
+    assert system.vertex_depth < 8.0
+    ks = np.array([complex(re, im) for im in (-8.0, -16.0) for re in (3.0, 37.3, 211.9)])
+    secular_many(system, ks)
+    assert bond_points == list(ks)
+    # forced onto the vertex form, the deepest points lose what the bound
+    # guards against
+    got = secular_many(dataclasses.replace(system, vertex_depth=np.inf), ks[3:])
+    want = np.array([_mp_secular(system, k) for k in ks[3:]])
+    assert np.max(np.abs(got - want) / np.abs(want)) > 1e-13
+
+
+@pytest.mark.parametrize("gap, lifted", [(1e-8, False), (1e-5, False), (1e-3, False),
+                                         (1e-2, True)])
+def test_near_equal_edges_size_the_leading_margin(gap, lifted, bond_points):
+    # the first 0.5 m edge lengthened by gap: at Im k = -16 the vertex form
+    # lost 8e-10, 4e-12, 4e-14 and 4e-15.  Edges within 1% of the shortest
+    # count in its leading term, so only the last gap lifts the bound
+    edges, anchors = CANCELLING
+    a, b, length = edges[0]
+    system = build_bond_system(_graph([(a, b, length + gap), *edges[1:]], anchors))
+    assert (system.vertex_depth == np.inf) == lifted
+    if lifted:
+        ks = np.array([complex(re, im) for im in (-8.0, -12.0, -16.0) for re in (3.0, 211.9)])
+        got = secular_many(system, ks)
+        assert not bond_points
+        want = np.array([_mp_secular(system, k) for k in ks])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("name, longest", [
+    ("deep4", 0.3106), ("kite4", 0.92), ("loop4", 0.666), ("loop-two-leads", 0.5),
+    ("path-two-leads", 0.5), ("tri-two-balanced", 0.7),
+])
+def test_graphs_that_fail_the_leading_term_test_keep_the_closure_bound(name, longest):
+    # 1.5/l, l the longest merged edge that holds an edge of the closure
+    system = build_bond_system(load_graph(DATA / f"{name}.graph"))
+    assert system.vertex_depth == pytest.approx(scattering._MAX_EDGE_DEPTH / longest)
+
+
+@st.composite
+def balanced_grid_graphs(draw):
+    """``small_graphs`` with lengths on a grid (multiples of 0.1, 0.15 or
+    0.2 m, so that edges tie) and one vertex given as many leads as bond
+    ends."""
+    step = draw(st.sampled_from([0.1, 0.15, 0.2]))
+    graph = draw(small_graphs(st.integers(1, 6).map(lambda n: n * step)))
+    v = draw(st.sampled_from(graph.vertices))
+    ends = sum((e.a == v) + (e.b == v) for e in graph.edges)
+    anchors = [l.anchor for l in graph.leads if l.anchor != v] + [v] * ends
+    return _graph([(e.a, e.b, e.length) for e in graph.edges], anchors)
+
+
+@given(balanced_grid_graphs(), st.floats(1.0, 100.0), st.floats(-16.0, -0.05))
+@example(_graph([(1, 2, 0.8), (1, 3, 1.0), (2, 4, 0.8), (3, 5, 0.6)], [4]), 93.1, -16.0)
+@settings(max_examples=40, deadline=None)
+def test_lifted_vertex_form_against_50_digits_on_random_graphs(graph, re, im):
+    # where the leading-term test lifts the bound, against 50 digits: on
+    # these graphs the bond matrix itself loses up to 1e-4 at Im k = -16
+    system = build_bond_system(graph)
+    assume(system.vertex_depth == np.inf)
+    k = complex(re, im)
+    want = _mp_secular(system, k)
+    assert abs(secular_many(system, [k])[0] - want) <= 1e-13 * abs(want)
 
 
 def _mixed_points(system):
@@ -753,13 +876,14 @@ class TestBatching:
             assert 0 < max(points["bond"]) <= 3
             assert sum(points["vertex"]) + sum(points["bond"]) == ks.size
 
-    @pytest.mark.parametrize("name, deep", [("W1", 0), ("g1-e20", 5000)])
+    @pytest.mark.parametrize("name, deep", [("W1", 0), ("g1-e20-pendant", 5000)])
     def test_peak_memory_is_the_output_and_one_batch(self, name, deep):
         # numpy reports its buffers to tracemalloc.  The allowance is twice
-        # the 1 MiB batch budget; batches sized by the larger matrix alone
-        # peak at 3.2 MB on W1, and at 9.2 MB on g1-e20, whose deep points
-        # take the 40 x 40 bond matrix.  log_derivative takes the bond matrix
-        # on W1 (14 bonds) and the vertex form with H' on g1-e20 (40 bonds)
+        # the 1 MiB batch budget; batches of 8 MiB sized by the larger matrix
+        # alone peak at 3.2 MB on W1, and at 9.2 MB on g1-e20-pendant, whose
+        # deep points take the 42 x 42 bond matrix.  log_derivative takes the
+        # bond matrix on W1 (14 bonds) and the vertex form with H' on
+        # g1-e20-pendant (42 bonds)
         graph = fixture(name) if name == "W1" else load_graph(DATA / f"{name}.graph")
         system = build_bond_system(graph)
         ks = np.linspace(6.0, 46.0, 20000) - 0.5j
